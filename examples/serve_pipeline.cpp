@@ -9,28 +9,15 @@
 //   ./serve_pipeline [--articles=200] [--requests=60] [--workers=2]
 //                    [--trace=trace.json]
 //
-// --listen switches the tail of the walk-through to the network front end:
-// instead of the scripted canary/promote/swap sequence, the router goes
-// behind an FKDN/1 TCP server (--port, default ephemeral) with live
-// hot-swap and canary control frames wired to the model store, and serves
-// until SIGINT/SIGTERM. Drive it from another terminal:
-//
-//   ./serve_pipeline --listen --port=7433
-//   ./fkd_loadgen --port=7433 --duration-s=10 --swap --swap-every-s=3
-//
+// The same moves over the wire are tools/fkd_server + tools/fkd_loadgen.
 // FKD_CANARY_PCT=<percent> sets the default canary traffic share.
 // With --trace and a tracing build, FKD_SLOW_TRACE_US=<n> controls which
 // requests leave queue/batch/compute spans (0 traces every request).
 
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/flags.h"
@@ -38,17 +25,11 @@
 #include "core/fake_detector.h"
 #include "data/generator.h"
 #include "data/split.h"
-#include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/model_store.h"
 #include "serve/router.h"
 #include "serve/snapshot.h"
-
-namespace {
-std::atomic<bool> g_shutdown{false};
-void HandleSignal(int) { g_shutdown.store(true); }
-}  // namespace
 
 int main(int argc, char** argv) {
   fkd::FlagParser flags;
@@ -57,10 +38,6 @@ int main(int argc, char** argv) {
   flags.AddInt("workers", 2, "engine worker threads");
   flags.AddString("snapshot", "", "snapshot directory (default: temp)");
   flags.AddString("trace", "", "optional chrome://tracing JSON output path");
-  flags.AddBool("listen", false,
-                "serve over TCP (FKDN/1) until SIGINT instead of running "
-                "the scripted canary/swap sequence");
-  flags.AddInt("port", 0, "--listen port (0 = ephemeral, printed)");
   fkd::Status parsed = flags.Parse(argc, argv);
   if (!parsed.ok()) {
     std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
@@ -187,66 +164,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.submitted),
                 static_cast<unsigned long long>(stats.cache_hits),
                 static_cast<unsigned long long>(stats.cache_misses));
-  }
-
-  // 5 (--listen). The same router behind the network front end: an FKDN/1
-  // TCP server with admission control, its swap/canary control frames
-  // wired to the model store — train → snapshot → serve-over-TCP →
-  // hot-swap under whatever traffic fkd_loadgen throws at it.
-  if (flags.GetBool("listen")) {
-    std::mutex store_mutex;
-    fkd::net::ServerOptions server_options;
-    server_options.port = static_cast<int>(flags.GetInt("port"));
-    server_options.swap_handler =
-        [&]() -> fkd::Result<uint64_t> {
-      std::lock_guard<std::mutex> lock(store_mutex);
-      auto next = store.Load(snapshot_dir);
-      FKD_RETURN_NOT_OK(next.status());
-      FKD_RETURN_NOT_OK(router.Publish(next.value()));
-      FKD_RETURN_NOT_OK(store.Publish(next.value()->version));
-      return next.value()->version;
-    };
-    server_options.canary_handler =
-        [&](uint32_t permille) -> fkd::Result<uint64_t> {
-      std::lock_guard<std::mutex> lock(store_mutex);
-      if (permille == 0) {
-        // Idempotent: "canary share 0" with no canary running is a no-op.
-        const fkd::Status stopped = router.StopCanary();
-        if (!stopped.ok() &&
-            stopped.code() != fkd::StatusCode::kFailedPrecondition) {
-          return stopped;
-        }
-        return static_cast<uint64_t>(0);
-      }
-      auto next = store.Load(snapshot_dir);
-      FKD_RETURN_NOT_OK(next.status());
-      FKD_RETURN_NOT_OK(
-          router.StartCanary(next.value(), static_cast<int>(permille)));
-      return next.value()->version;
-    };
-    fkd::net::Server server(&router, server_options);
-    FKD_CHECK_OK(server.Start());
-    std::signal(SIGINT, HandleSignal);
-    std::signal(SIGTERM, HandleSignal);
-    std::printf("\nlistening on port %d — drive it with:\n"
-                "  ./fkd_loadgen --port=%d --duration-s=10"
-                " --swap --swap-every-s=3\nctrl-c to stop\n",
-                server.bound_port(), server.bound_port());
-    std::fflush(stdout);  // scripts scrape the port from redirected output
-    while (!g_shutdown.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    server.Shutdown();
-    const fkd::net::ServerStats stats = server.Stats();
-    std::printf("\nserved %llu classify frames over TCP "
-                "(%llu ok, %llu error, %llu dropped, %llu shed)\n",
-                static_cast<unsigned long long>(stats.classify_frames),
-                static_cast<unsigned long long>(stats.responses_ok),
-                static_cast<unsigned long long>(stats.responses_error),
-                static_cast<unsigned long long>(stats.responses_dropped),
-                static_cast<unsigned long long>(stats.shed));
-    router.Stop();
-    return 0;
   }
 
   // 5. Operational moves, all without dropping a request: canary a second

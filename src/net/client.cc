@@ -411,8 +411,8 @@ int64_t NetClient::StepTimers(int64_t now_us, CompletionList* done) {
 void NetClient::FlushConn(Conn* conn, CompletionList* done) {
   // Called with mutex_ held.
   while (conn->out_offset < conn->outbound.size()) {
-    ssize_t n = write(conn->fd, conn->outbound.data() + conn->out_offset,
-                      conn->outbound.size() - conn->out_offset);
+    ssize_t n = send(conn->fd, conn->outbound.data() + conn->out_offset,
+                     conn->outbound.size() - conn->out_offset, MSG_NOSIGNAL);
     if (n > 0) {
       conn->out_offset += static_cast<size_t>(n);
       continue;

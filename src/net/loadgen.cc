@@ -59,8 +59,8 @@ Result<int> ConnectTo(const std::string& host, int port) {
 Status WriteAll(int fd, const std::string& bytes) {
   size_t offset = 0;
   while (offset < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + offset, bytes.size() - offset);
+    const ssize_t n = ::send(fd, bytes.data() + offset, bytes.size() - offset,
+                             MSG_NOSIGNAL);
     if (n > 0) {
       offset += static_cast<size_t>(n);
       continue;

@@ -53,6 +53,26 @@ Status ErrnoStatus(const char* what) {
   return Status::IoError(StrFormat("%s: %s", what, std::strerror(errno)));
 }
 
+/// Encodes a control-shaped reply (swap/canary responses, the kError
+/// goodbye): the outcome's status, plus its value on success.
+std::string EncodeControlReply(MessageType type, uint64_t request_id,
+                               const Result<uint64_t>& outcome) {
+  ControlResponseMsg msg;
+  msg.ok = outcome.ok();
+  if (outcome.ok()) {
+    msg.value = outcome.value();
+  } else {
+    msg.status_code = static_cast<uint8_t>(outcome.status().code());
+    msg.message = outcome.status().message();
+  }
+  return EncodeFrame(type, request_id, EncodeControlResponse(msg));
+}
+
+/// The event loop running on this thread (null off the loops). Output
+/// queued from a connection's own loop needs no eventfd wakeup: that loop
+/// flushes its pending writes at the end of the current iteration.
+thread_local const void* tls_loop = nullptr;
+
 }  // namespace
 
 int64_t Server::NowMs() {
@@ -77,7 +97,6 @@ Server::Server(serve::Router* router, ServerOptions options)
     : router_(router), options_(std::move(options)) {
   FKD_CHECK(router_ != nullptr);
   FKD_CHECK_GT(options_.event_loops, 0u);
-  FKD_CHECK_GT(options_.completion_threads, 0u);
   FKD_CHECK_GT(options_.max_inflight, 0u);
   resolved_shed_depth_ =
       options_.shed_queue_depth > 0
@@ -105,6 +124,11 @@ Server::Server(serve::Router* router, ServerOptions options)
 }
 
 Server::~Server() { Shutdown(); }
+
+Server::EventLoop::~EventLoop() {
+  if (epoll_fd >= 0) ::close(epoll_fd);
+  if (wake_fd >= 0) ::close(wake_fd);
+}
 
 Status Server::Start() {
   if (started_.exchange(true)) {
@@ -167,19 +191,15 @@ Status Server::Start() {
   for (size_t i = 0; i < loops_.size(); ++i) {
     loops_[i]->thread = std::thread([this, i] { LoopMain(i); });
   }
-  pumps_.reserve(options_.completion_threads);
-  for (size_t i = 0; i < options_.completion_threads; ++i) {
-    pumps_.emplace_back([this] { PumpMain(); });
-  }
+  control_thread_ = std::thread([this] { ControlMain(); });
 
   recorder_->Record(FlightEventType::kServerStart,
                     static_cast<uint64_t>(bound_port_), options_.event_loops);
   FKD_LOG(Info) << "net server listening on " << options_.host << ":"
                 << bound_port_ << " (" << options_.event_loops
-                << " event loops, " << options_.completion_threads
-                << " completion threads, max_inflight "
-                << options_.max_inflight << ", shed at engine queue depth "
-                << resolved_shed_depth_ << ")";
+                << " event loops, max_inflight " << options_.max_inflight
+                << ", shed at engine queue depth " << resolved_shed_depth_
+                << ")";
   return Status::OK();
 }
 
@@ -326,12 +346,8 @@ void Server::HandleReadable(EventLoop* loop, const ConnectionPtr& conn) {
               << " (rate-limited: 1 in 16 logged)";
           // Best-effort goodbye, then close once (if ever) it flushes. The
           // stream has lost framing, so no further frames are decoded.
-          ControlResponseMsg goodbye;
-          goodbye.ok = false;
-          goodbye.status_code = static_cast<uint8_t>(status.code());
-          goodbye.message = status.message();
-          EnqueueOutput(conn, EncodeFrame(MessageType::kError, 0,
-                                          EncodeControlResponse(goodbye)));
+          EnqueueOutput(conn,
+                        EncodeControlReply(MessageType::kError, 0, status));
           {
             std::lock_guard<std::mutex> lock(conn->out_mutex);
             conn->want_close = true;
@@ -354,7 +370,7 @@ void Server::HandleReadable(EventLoop* loop, const ConnectionPtr& conn) {
       }
       continue;
     }
-    if (n == 0) {  // peer closed; in-flight work resolves via the pump
+    if (n == 0) {  // peer closed; in-flight work resolves as dropped
       CloseConnection(loop, conn, "peer closed");
       return;
     }
@@ -379,73 +395,9 @@ void Server::HandleFrame(EventLoop* loop, const ConnectionPtr& conn,
       HandleClassify(conn, frame);
       return;
     case MessageType::kSwapRequest:
-    case MessageType::kCanaryRequest: {
-      const bool is_swap = frame.type == MessageType::kSwapRequest;
-      const MessageType reply_type =
-          is_swap ? MessageType::kSwapResponse : MessageType::kCanaryResponse;
-      const uint64_t request_id = frame.request_id;
-      auto reply_error = [&](const Status& status) {
-        ControlResponseMsg msg;
-        msg.ok = false;
-        msg.status_code = static_cast<uint8_t>(status.code());
-        msg.message = status.message();
-        EnqueueOutput(conn, EncodeFrame(reply_type, request_id,
-                                        EncodeControlResponse(msg)));
-      };
-      if (draining_.load(std::memory_order_acquire)) {
-        reply_error(Status::Unavailable("server draining"));
-        return;
-      }
-      if ((is_swap && !options_.swap_handler) ||
-          (!is_swap && !options_.canary_handler)) {
-        reply_error(Status::Unimplemented(
-            is_swap ? "no swap handler configured"
-                    : "no canary handler configured"));
-        return;
-      }
-      uint32_t permille = 0;
-      if (!is_swap) {
-        Result<uint32_t> decoded = DecodeCanaryRequest(frame.payload);
-        if (!decoded.ok()) {
-          reply_error(decoded.status());
-          return;
-        }
-        permille = decoded.value();
-      }
-      // Control work blocks (a swap builds and drains engine fleets), so it
-      // runs on the completion pump, counted against the drain like any
-      // in-flight request.
-      PumpItem item;
-      item.conn = conn;
-      item.request_id = request_id;
-      item.enqueued_us = NowUs();
-      item.control = [this, is_swap, permille, reply_type, request_id]() {
-        ControlResponseMsg msg;
-        Result<uint64_t> outcome =
-            is_swap ? options_.swap_handler()
-                    : options_.canary_handler(permille);
-        if (outcome.ok()) {
-          msg.ok = true;
-          msg.value = outcome.value();
-          if (is_swap) swaps_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          msg.ok = false;
-          msg.status_code = static_cast<uint8_t>(outcome.status().code());
-          msg.message = outcome.status().message();
-        }
-        return EncodeFrame(reply_type, request_id,
-                           EncodeControlResponse(msg));
-      };
-      inflight_.fetch_add(1, std::memory_order_acq_rel);
-      inflight_gauge_->Set(
-          static_cast<double>(inflight_.load(std::memory_order_relaxed)));
-      {
-        std::lock_guard<std::mutex> lock(pump_mutex_);
-        pump_queue_.push_back(std::move(item));
-      }
-      pump_cv_.notify_one();
+    case MessageType::kCanaryRequest:
+      HandleControl(conn, frame);
       return;
-    }
     default:
       // Response types (or unknown types) arriving from a client are a
       // protocol violation: kill the connection like any other.
@@ -458,190 +410,192 @@ void Server::HandleFrame(EventLoop* loop, const ConnectionPtr& conn,
   }
 }
 
-void Server::RespondError(const ConnectionPtr& conn, uint64_t request_id,
-                          const Status& status) {
-  ClassifyResponseMsg msg;
-  msg.ok = false;
-  msg.status_code = static_cast<uint8_t>(status.code());
-  msg.message = status.message();
-  responses_error_.fetch_add(1, std::memory_order_relaxed);
-  EnqueueOutput(conn, EncodeFrame(MessageType::kClassifyResponse, request_id,
-                                  EncodeClassifyResponse(msg)));
-}
-
-void Server::HandleClassify(const ConnectionPtr& conn, const Frame& frame) {
-  Result<ClassifyRequestMsg> decoded = DecodeClassifyRequest(frame.payload);
-  if (!decoded.ok()) {
-    // The frame checksummed clean but its body is malformed: the stream is
-    // still in sync, so answer the request instead of killing the socket.
-    RespondError(conn, frame.request_id, decoded.status());
+void Server::HandleControl(const ConnectionPtr& conn, const Frame& frame) {
+  const bool is_swap = frame.type == MessageType::kSwapRequest;
+  const MessageType reply_type =
+      is_swap ? MessageType::kSwapResponse : MessageType::kCanaryResponse;
+  const uint64_t request_id = frame.request_id;
+  // A control frame holds an in-flight slot until its reply is queued, so
+  // the drain waits for it; the slot is taken before draining_ is read,
+  // for the reason given in HandleClassify.
+  inflight_.fetch_add(1);
+  Result<uint32_t> permille = is_swap ? Result<uint32_t>(0u)
+                                      : DecodeCanaryRequest(frame.payload);
+  Status refusal = permille.status();
+  if (draining_.load()) {
+    refusal = Status::Unavailable("server draining");
+  } else if (is_swap ? !options_.swap_handler : !options_.canary_handler) {
+    refusal = Status::Unimplemented(is_swap ? "no swap handler configured"
+                                            : "no canary handler configured");
+  }
+  if (!refusal.ok()) {
+    EnqueueOutput(conn, EncodeControlReply(reply_type, request_id, refusal));
+    ReleaseSlot();
     return;
   }
-  const int64_t t0_us = NowUs();
+  // The handler blocks for a whole swap, so it runs on the control thread.
+  // (A reply whose connection died first is not tracked: the client is
+  // gone and control frames are outside the classify accounting.)
+  auto task = [this, conn, is_swap, permille = permille.value(), reply_type,
+               request_id] {
+    const Result<uint64_t> outcome = is_swap
+                                         ? options_.swap_handler()
+                                         : options_.canary_handler(permille);
+    if (is_swap && outcome.ok()) swaps_.fetch_add(1, std::memory_order_relaxed);
+    EnqueueOutput(conn, EncodeControlReply(reply_type, request_id, outcome));
+    ReleaseSlot();
+  };
+  {
+    std::lock_guard<std::mutex> lock(control_mutex_);
+    control_queue_.push_back(std::move(task));
+  }
+  control_cv_.notify_one();
+}
 
-  // --- admission control, cheapest test first -------------------------------
-  if (draining_.load(std::memory_order_acquire)) {
+void Server::ControlMain() {
+  for (;;) {
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(control_mutex_);
+      control_cv_.wait(lock, [this] { return !control_queue_.empty(); });
+      task = std::move(control_queue_.front());
+      control_queue_.pop_front();
+    }
+    if (!task) return;  // Shutdown's sentinel: everything before it ran
+    task();
+  }
+}
+
+Status Server::Admit(uint64_t request_id, const ClassifyRequestMsg& msg,
+                     size_t inflight_now, int64_t* remaining_budget_us) {
+  const auto shed = [&](FlightEventType event, uint64_t detail,
+                        Status status) {
     shed_.fetch_add(1, std::memory_order_relaxed);
     shed_total_->Increment();
-    recorder_->Record(FlightEventType::kNetShed, frame.request_id, 0);
-    RespondError(conn, frame.request_id,
-                 Status::Unavailable("server draining"));
-    return;
+    recorder_->Record(event, request_id, detail);
+    return status;
+  };
+  // Cheapest test first.
+  if (draining_.load()) {
+    return shed(FlightEventType::kNetShed, 0,
+                Status::Unavailable("server draining"));
   }
   // Deadline propagation: a request whose absolute deadline has already
   // passed is answered DeadlineExceeded right here — it never reaches
   // Router::Submit, so expired work is refused, not silently computed.
   // Survivors carry their *remaining* budget into the engine.
-  int64_t remaining_budget_us = 0;  // 0 = no absolute deadline
-  if (decoded.value().deadline_unix_us > 0) {
-    remaining_budget_us = decoded.value().deadline_unix_us - WallNowUs();
-    if (remaining_budget_us <= 0) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      shed_total_->Increment();
+  *remaining_budget_us = 0;  // 0 = no absolute deadline
+  if (msg.deadline_unix_us > 0) {
+    *remaining_budget_us = msg.deadline_unix_us - WallNowUs();
+    if (*remaining_budget_us <= 0) {
+      const auto late_us = static_cast<uint64_t>(-*remaining_budget_us);
       deadline_shed_.fetch_add(1, std::memory_order_relaxed);
       deadline_shed_total_->Increment();
-      recorder_->Record(FlightEventType::kNetDeadlineShed, frame.request_id,
-                        static_cast<uint64_t>(-remaining_budget_us));
-      RespondError(conn, frame.request_id,
-                   Status::DeadlineExceeded(StrFormat(
-                       "deadline expired %lldus before admission",
-                       static_cast<long long>(-remaining_budget_us))));
-      return;
+      return shed(FlightEventType::kNetDeadlineShed, late_us,
+                  Status::DeadlineExceeded(StrFormat(
+                      "deadline expired %lldus before admission",
+                      static_cast<long long>(late_us))));
     }
   }
   // Bounded in-flight budget: the one knob that caps the server's queued
   // work no matter how many connections pile on.
-  const size_t inflight_now =
-      inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (inflight_now > options_.max_inflight) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    shed_total_->Increment();
-    recorder_->Record(FlightEventType::kNetShed, frame.request_id,
-                      inflight_now);
-    RespondError(conn, frame.request_id,
-                 Status::Unavailable(StrFormat(
-                     "server at capacity (%zu requests in flight)",
-                     inflight_now - 1)));
-    return;
+    return shed(FlightEventType::kNetShed, inflight_now,
+                Status::Unavailable(StrFormat(
+                    "server at capacity (%zu requests in flight)",
+                    inflight_now - 1)));
   }
   // Queue-depth-aware early shed: when the engines are already saturated,
   // refusing here is strictly better than queueing work the breaker or the
   // deadline will kill anyway.
   const size_t engine_depth = router_->QueueDepth();
   if (engine_depth >= resolved_shed_depth_) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    shed_total_->Increment();
-    recorder_->Record(FlightEventType::kNetShed, frame.request_id,
-                      engine_depth);
-    RespondError(conn, frame.request_id,
-                 Status::Unavailable(StrFormat(
-                     "engine queues saturated (depth %zu >= %zu)",
-                     engine_depth, resolved_shed_depth_)));
-    return;
+    return shed(FlightEventType::kNetShed, engine_depth,
+                Status::Unavailable(StrFormat(
+                    "engine queues saturated (depth %zu >= %zu)",
+                    engine_depth, resolved_shed_depth_)));
   }
-  inflight_gauge_->Set(static_cast<double>(inflight_now));
-
-  serve::ArticleRequest request;
-  request.text = std::move(decoded.value().text);
-  request.creator_id = decoded.value().creator_id;
-  request.subject_ids = std::move(decoded.value().subject_ids);
-  request.deadline_us = decoded.value().deadline_us;
-  if (remaining_budget_us > 0) {
-    // Score against what is left of the client's budget, not a fresh
-    // server default; a relative budget, when also present, can only
-    // tighten it further.
-    request.deadline_us = request.deadline_us > 0
-                              ? std::min(request.deadline_us,
-                                         remaining_budget_us)
-                              : remaining_budget_us;
-  }
-  Result<serve::ClassificationFuture> submitted =
-      router_->Submit(std::move(request));
-  if (!submitted.ok()) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    RespondError(conn, frame.request_id, submitted.status());
-    return;
-  }
-  conn->inflight.fetch_add(1, std::memory_order_acq_rel);
-  PumpItem item;
-  item.conn = conn;
-  item.request_id = frame.request_id;
-  item.enqueued_us = t0_us;
-  item.future = std::move(submitted).value();
-  {
-    std::lock_guard<std::mutex> lock(pump_mutex_);
-    pump_queue_.push_back(std::move(item));
-  }
-  pump_cv_.notify_one();
+  return Status::OK();
 }
 
-// ---- completion pump ---------------------------------------------------------
+void Server::HandleClassify(const ConnectionPtr& conn, const Frame& frame) {
+  // Every classify frame holds an in-flight slot from here until
+  // FinishClassify answers it. The slot is taken before draining_ is read;
+  // both are sequentially consistent, as are Shutdown's store of draining_
+  // and its later reads of inflight_. So either this frame sees the drain
+  // and is shed, or Shutdown sees the slot and waits for the answer.
+  const int64_t t0_us = NowUs();
+  const uint64_t request_id = frame.request_id;
+  conn->inflight.fetch_add(1, std::memory_order_acq_rel);
+  const size_t inflight_now = inflight_.fetch_add(1) + 1;
 
-void Server::PumpMain() {
-  for (;;) {
-    PumpItem item;
-    {
-      std::unique_lock<std::mutex> lock(pump_mutex_);
-      pump_cv_.wait(lock, [this] {
-        return stop_.load(std::memory_order_acquire) || !pump_queue_.empty();
-      });
-      if (pump_queue_.empty()) {
-        if (stop_.load(std::memory_order_acquire)) return;
-        continue;
-      }
-      item = std::move(pump_queue_.front());
-      pump_queue_.pop_front();
+  // A malformed body in a frame that checksummed clean leaves the stream
+  // in sync, so it is answered with an error instead of killing the socket.
+  Result<ClassifyRequestMsg> decoded = DecodeClassifyRequest(frame.payload);
+  Status status = decoded.status();
+  int64_t remaining_budget_us = 0;
+  if (status.ok()) {
+    status = Admit(request_id, decoded.value(), inflight_now,
+                   &remaining_budget_us);
+  }
+  if (status.ok()) {
+    inflight_gauge_->Set(static_cast<double>(inflight_now));
+    serve::ArticleRequest request;
+    request.text = std::move(decoded.value().text);
+    request.creator_id = decoded.value().creator_id;
+    request.subject_ids = std::move(decoded.value().subject_ids);
+    request.deadline_us = decoded.value().deadline_us;
+    if (remaining_budget_us > 0) {
+      // Score against what is left of the client's budget, not a fresh
+      // server default; a relative budget, when also present, can only
+      // tighten it further.
+      request.deadline_us = request.deadline_us > 0
+                                ? std::min(request.deadline_us,
+                                           remaining_budget_us)
+                                : remaining_budget_us;
     }
+    // A cache hit runs the callback inside Submit, on this loop; a miss
+    // runs it later on the engine worker that computed the result.
+    status = router_->Submit(
+        std::move(request),
+        [this, conn, request_id, t0_us](Result<serve::Classification> result) {
+          FinishClassify(conn, request_id, t0_us, result);
+        });
+  }
+  if (!status.ok()) FinishClassify(conn, request_id, t0_us, status);
+}
 
-    std::string response;
-    bool classify = false;
-    bool result_ok = false;
-    if (item.control) {
-      response = item.control();
-    } else {
-      classify = true;
-      // Blocks until the engine resolves the future — every accepted
-      // request does (completed, expired, failed, or drained), so the pump
-      // can never hang on a live router.
-      Result<serve::Classification> result = item.future.get();
-      result_ok = result.ok();
-      response = EncodeFrame(MessageType::kClassifyResponse, item.request_id,
-                             EncodeClassifyResponse(
-                                 ClassifyResponseFromResult(result)));
-    }
+void Server::FinishClassify(const ConnectionPtr& conn, uint64_t request_id,
+                            int64_t t0_us,
+                            const Result<serve::Classification>& result) {
+  const std::string response =
+      EncodeFrame(MessageType::kClassifyResponse, request_id,
+                  EncodeClassifyResponse(ClassifyResponseFromResult(result)));
+  // A classify response counts exactly once: ok/error when it reaches the
+  // connection's output queue, dropped when the connection died first. The
+  // shutdown invariant classify_frames == ok + error + dropped depends on
+  // these being disjoint.
+  if (!EnqueueOutput(conn, response)) {
+    responses_dropped_.fetch_add(1, std::memory_order_relaxed);
+    responses_dropped_total_->Increment();
+  } else if (result.ok()) {
+    responses_ok_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    responses_error_.fetch_add(1, std::memory_order_relaxed);
+  }
+  request_us_->Observe(static_cast<double>(NowUs() - t0_us));
+  conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
+  ReleaseSlot();
+}
 
-    if (EnqueueOutput(item.conn, response)) {
-      // A classify response counts exactly once: ok/error when it reaches
-      // the connection's output queue, dropped when the connection died
-      // first. The shutdown invariant classify_frames == ok + error +
-      // dropped depends on these being disjoint.
-      if (classify) {
-        if (result_ok) {
-          responses_ok_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          responses_error_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    } else if (classify) {
-      // The connection died while its request was in flight: the slot is
-      // still released, the response is accounted as dropped, never leaked.
-      // (A dropped control reply is not tracked — the client is gone and
-      // control frames are outside the classify accounting.)
-      responses_dropped_.fetch_add(1, std::memory_order_relaxed);
-      responses_dropped_total_->Increment();
-    }
-    request_us_->Observe(static_cast<double>(NowUs() - item.enqueued_us));
-    if (classify) {
-      item.conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    const size_t left = inflight_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-    inflight_gauge_->Set(static_cast<double>(left));
-    if (left == 0 && draining_.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(drain_mutex_);
-      drain_cv_.notify_all();
-    }
+void Server::ReleaseSlot() {
+  // The last touch of server state by a callback: once the drain sees zero,
+  // Shutdown may tear the server down.
+  const size_t left = inflight_.fetch_sub(1) - 1;
+  inflight_gauge_->Set(static_cast<double>(left));
+  if (left == 0 && draining_.load()) {
+    std::lock_guard<std::mutex> lock(drain_mutex_);
+    drain_cv_.notify_all();
   }
 }
 
@@ -662,7 +616,7 @@ bool Server::EnqueueOutput(const ConnectionPtr& conn,
     std::lock_guard<std::mutex> lock(loop->mutex);
     loop->pending_writes.push_back(conn);
   }
-  WakeLoop(loop);
+  if (tls_loop != loop) WakeLoop(loop);
   return true;
 }
 
@@ -682,9 +636,9 @@ void Server::FlushOutput(EventLoop* loop, const ConnectionPtr& conn) {
           const size_t part = (conn->outbound.size() - conn->out_offset) / 2;
           const ssize_t torn =
               part == 0 ? 0
-                        : ::write(conn->fd,
-                                  conn->outbound.data() + conn->out_offset,
-                                  part);
+                        : ::send(conn->fd,
+                                 conn->outbound.data() + conn->out_offset,
+                                 part, MSG_NOSIGNAL);
           if (torn > 0) {
             conn->out_offset += static_cast<size_t>(torn);
             bytes_out_.fetch_add(static_cast<uint64_t>(torn),
@@ -695,9 +649,11 @@ void Server::FlushOutput(EventLoop* loop, const ConnectionPtr& conn) {
         close_after = true;
         break;
       }
+      // MSG_NOSIGNAL: a peer reset between two sends is an EPIPE to
+      // handle here, not a SIGPIPE that kills the process.
       const ssize_t n =
-          ::write(conn->fd, conn->outbound.data() + conn->out_offset,
-                  conn->outbound.size() - conn->out_offset);
+          ::send(conn->fd, conn->outbound.data() + conn->out_offset,
+                 conn->outbound.size() - conn->out_offset, MSG_NOSIGNAL);
       if (n > 0) {
         conn->out_offset += static_cast<size_t>(n);
         bytes_out_.fetch_add(static_cast<uint64_t>(n),
@@ -739,7 +695,7 @@ void Server::CloseConnection(EventLoop* loop, const ConnectionPtr& conn,
                              const char* reason, bool from_idle_sweep) {
   if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
   {
-    // Serialise with a pump mid-EnqueueOutput: after this block, any
+    // Serialise with a callback mid-EnqueueOutput: after this block, any
     // EnqueueOutput observes closed and reports the response as dropped.
     std::lock_guard<std::mutex> lock(conn->out_mutex);
   }
@@ -789,6 +745,7 @@ void Server::SweepIdle(EventLoop* loop, int64_t now_ms) {
 
 void Server::LoopMain(size_t index) {
   EventLoop* loop = loops_[index].get();
+  tls_loop = loop;
   epoll_event events[kMaxEpollEvents];
   bool listening = index == 0;
   int64_t last_sweep_ms = NowMs();
@@ -841,7 +798,8 @@ void Server::LoopMain(size_t index) {
       }
     }
 
-    // Cross-thread handoffs: adopt fresh accepts, flush queued responses.
+    // Adopt fresh accepts; flush responses queued by this iteration's
+    // frames and by other threads.
     AdoptPendingAccepts(loop);
     std::vector<ConnectionPtr> writable;
     {
@@ -891,8 +849,7 @@ void Server::LoopMain(size_t index) {
     }
     CloseConnection(loop, conn, "server shutdown");
   }
-  ::close(loop->epoll_fd);
-  ::close(loop->wake_fd);
+  tls_loop = nullptr;
 }
 
 // ---- shutdown ----------------------------------------------------------------
@@ -900,32 +857,40 @@ void Server::LoopMain(size_t index) {
 void Server::Shutdown() {
   if (!started_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
-  draining_.store(true, std::memory_order_release);
-  if (pumps_.empty() && loops_.empty()) return;  // already torn down
-  FKD_LOG(Info) << "net server draining: "
-                << inflight_.load(std::memory_order_relaxed)
+  draining_.store(true);  // seq_cst: see HandleClassify
+  if (loops_.empty()) return;  // already torn down
+  FKD_LOG(Info) << "net server draining: " << inflight_.load()
                 << " requests in flight, "
                 << active_connections_.load(std::memory_order_relaxed)
                 << " connections";
 
-  // 1. In-flight work resolves through the pump; new classifies are shed.
+  // 1. In-flight work resolves and its responses reach the loops, which
+  // keep flushing; new classifies are shed.
   {
     std::unique_lock<std::mutex> lock(drain_mutex_);
-    drain_cv_.wait_for(lock, std::chrono::seconds(30), [this] {
-      return inflight_.load(std::memory_order_acquire) == 0;
-    });
+    drain_cv_.wait_for(lock, std::chrono::seconds(30),
+                       [this] { return inflight_.load() == 0; });
   }
-  // 2. Stop pump + loops. Loop threads flush any buffered responses before
-  // closing their connections (see LoopMain epilogue).
+  // 2. Stop the loops: each flushes buffered responses, then closes its
+  // connections (see LoopMain epilogue). The control thread then finishes
+  // whatever is queued ahead of the sentinel.
   stop_.store(true, std::memory_order_release);
-  pump_cv_.notify_all();
-  for (auto& pump : pumps_) {
-    if (pump.joinable()) pump.join();
-  }
-  pumps_.clear();
   for (auto& loop : loops_) {
     WakeLoop(loop.get());
     if (loop->thread.joinable()) loop->thread.join();
+  }
+  {
+    std::lock_guard<std::mutex> lock(control_mutex_);
+    control_queue_.emplace_back();
+  }
+  control_cv_.notify_one();
+  if (control_thread_.joinable()) control_thread_.join();
+  // 3. Only a request that outlived step 1's bound can still be in flight.
+  // Its connection is closed, so its callback just counts it as dropped,
+  // but it must run before the loops and the server go away.
+  {
+    std::unique_lock<std::mutex> lock(drain_mutex_);
+    drain_cv_.wait(lock, [this] { return inflight_.load() == 0; });
   }
   loops_.clear();
   connections_gauge_->Set(0.0);

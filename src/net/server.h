@@ -32,8 +32,6 @@ struct ServerOptions {
   /// each connection lives on one loop for its whole life (no migration,
   /// no cross-loop locking on the read path).
   size_t event_loops = 2;
-  /// Threads turning engine futures into response frames.
-  size_t completion_threads = 2;
   /// Accepted connections beyond this are closed immediately.
   size_t max_connections = 1024;
   /// Admission budget: classify frames beyond this many in flight across
@@ -49,11 +47,13 @@ struct ServerOptions {
   /// Per-frame payload ceiling (see FrameDecoder).
   size_t max_payload_bytes = kDefaultMaxPayload;
   /// Invoked on a kSwapRequest frame: load + publish a new model version,
-  /// return its id. Runs on a completion thread (off the event loops), so
-  /// it may block for the duration of the swap. Null rejects the frame.
+  /// return its id. Runs on the server's one control thread (off the event
+  /// loops), so it may block for the duration of the swap; control frames
+  /// run one at a time, in arrival order. Null rejects the frame.
   std::function<Result<uint64_t>()> swap_handler;
   /// Invoked on a kCanaryRequest frame with the requested traffic permille
-  /// (0 = stop the canary); returns the canary version. Null rejects.
+  /// (0 = stop the canary); returns the canary version. Runs on the
+  /// control thread like swap_handler. Null rejects.
   std::function<Result<uint64_t>(uint32_t permille)> canary_handler;
 };
 
@@ -61,8 +61,9 @@ struct ServerOptions {
 /// invariant (asserted by the shutdown tests): every classify frame read
 /// off a socket resolves exactly one way,
 ///   classify_frames == responses_ok + responses_error + responses_dropped
-/// where `responses_dropped` counts fulfilled results whose connection had
-/// already gone away — never silently, always observed by the pump.
+/// where `responses_dropped` counts results whose connection had already
+/// gone away — never silently: FinishClassify observes the closed
+/// connection and counts it.
 struct ServerStats {
   uint64_t accepted = 0;           ///< Connections accepted.
   uint64_t closed = 0;             ///< Connections closed (any reason).
@@ -82,39 +83,46 @@ struct ServerStats {
   uint64_t accept_pauses = 0;      ///< EMFILE/ENFILE accept pauses taken.
   uint64_t swaps = 0;              ///< Successful swap frames served.
   size_t active_connections = 0;
-  size_t inflight = 0;             ///< Classifies submitted, response pending.
+  size_t inflight = 0;  ///< Classify + control frames not yet answered.
 };
 
 /// Non-blocking epoll front end speaking the FKDN/1 frame protocol over
 /// TCP, feeding the serving Router.
 ///
-/// Threads: one acceptor-capable event loop per `event_loops` (loop 0 also
-/// owns the listen socket) plus `completion_threads` pump threads. The
-/// read path runs entirely on the connection's event loop: drain the
-/// socket, feed the incremental FrameDecoder, dispatch each frame. A
-/// classify frame passes **admission control** — server draining? in-flight
-/// budget exhausted? router queue depth beyond the shed threshold? — and
-/// only then becomes a Router::Submit. The returned future is handed to
-/// the completion pump, which blocks on fulfilment (the engines resolve
-/// every accepted future: completed, deadline-expired, failed or drained),
-/// encodes the response frame, and hands the bytes back to the owning
-/// event loop via the connection's outbound buffer + an eventfd wakeup.
-/// Shed and refused requests are answered inline with an error-carrying
-/// ClassifyResponse — load shedding is explicit, never a silent drop or a
-/// hang.
+/// Threads: one event loop per `event_loops` (loop 0 also owns the listen
+/// socket) plus one control thread for swap/canary frames. The read path
+/// runs entirely on the connection's event loop: drain the socket, feed
+/// the incremental FrameDecoder, dispatch each frame. A classify frame
+/// passes **admission control** — server draining? in-flight budget
+/// exhausted? router queue depth beyond the shed threshold? — and only
+/// then becomes a Router::Submit with a completion callback. Results are
+/// pushed, never waited for: the callback (FinishClassify) encodes the
+/// response into the connection's outbound buffer wherever the result
+/// appears. A cache hit completes inside Submit on the connection's own
+/// loop, so its bytes leave at the end of the current loop iteration with
+/// no thread handoff; an engine result is encoded on the worker that
+/// computed it and handed to the owning loop through its pending-writes
+/// list + an eventfd wakeup. The engines resolve every accepted request
+/// (completed, deadline-expired, failed or drained), so every admitted
+/// classify is answered. Shed and refused requests are answered inline
+/// with an error-carrying ClassifyResponse — load shedding is explicit,
+/// never a silent drop or a hang.
 ///
 /// Robustness: the frame header is CRC-gated before its length prefix is
 /// trusted; any protocol violation poisons the connection's decoder and
 /// closes it (after a best-effort kError frame) without touching its
 /// neighbours; the idle sweep kills both silent connections and slow-loris
 /// drips that never complete a frame; a client disconnect with requests in
-/// flight is absorbed — the pump observes the closed connection and counts
-/// the response as dropped instead of writing to a dead socket.
+/// flight is absorbed — the completion callback observes the closed
+/// connection and counts the response as dropped instead of writing to a
+/// dead socket. Sockets are written with MSG_NOSIGNAL, so a peer reset is
+/// an error on that connection, never a process-killing SIGPIPE.
 ///
 /// Shutdown() is graceful: stop accepting, answer new classifies with
 /// Unavailable, wait for every in-flight classify to resolve and its
-/// response to flush, then close connections and join all threads. No
-/// accepted request is silently dropped (ServerStats invariant above).
+/// response to flush, then close connections and join all threads. It
+/// returns only once no completion callback can still run. No accepted
+/// request is silently dropped (ServerStats invariant above).
 ///
 /// Deterministic network chaos: every socket-layer failure branch is
 /// reachable in-process through FKD_FAULTS sites consulted on the hot
@@ -125,15 +133,15 @@ struct ServerStats {
 ///                  the connection closes as if the peer vanished
 ///   net.ready    — a readable event is deferred one epoll tick
 ///                  (delayed readiness; level-triggered epoll re-delivers)
-///   net.eventfd  — a pump->loop wakeup write is dropped; the loop must
-///                  recover via its epoll timeout, never hang
+///   net.eventfd  — a cross-thread loop wakeup write is dropped; the loop
+///                  must recover via its epoll timeout, never hang
 ///
 /// Instrumentation (obs::MetricsRegistry::Default()): fkd.net.connections
 /// gauge, fkd.net.connections_total / frames{dir} / bytes{dir} / shed /
 /// protocol_errors / idle_closed / responses_dropped counters,
-/// fkd.net.inflight gauge and the fkd.net.request_us histogram (frame
-/// decode -> response enqueue), all flowing through the PR-6 StatsExporter
-/// into fkd_obstop.
+/// fkd.net.inflight gauge and the fkd.net.request_us histogram (classify
+/// frame decode -> response enqueue, shed answers included), all flowing
+/// through the StatsExporter into fkd_obstop.
 class Server {
  public:
   Server(serve::Router* router, ServerOptions options = {});
@@ -142,7 +150,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and spawns the loop + pump threads. One Start per
+  /// Binds, listens and spawns the loop + control threads. One Start per
   /// server.
   Status Start();
 
@@ -162,7 +170,8 @@ class Server {
     size_t loop = 0;
     uint64_t id = 0;  ///< accept sequence number (diagnostics)
     FrameDecoder decoder;
-    /// Guards outbound + want_close. Written by pump threads and the loop.
+    /// Guards outbound + want_close. Written by the loop, engine workers
+    /// (completion callbacks) and the control thread.
     std::mutex out_mutex;
     std::string outbound;   ///< encoded frames waiting for the socket
     size_t out_offset = 0;  ///< bytes of outbound already written
@@ -183,28 +192,24 @@ class Server {
   /// One epoll event-loop thread's state.
   struct EventLoop {
     int epoll_fd = -1;
-    int wake_fd = -1;  ///< eventfd: pump -> loop (pending writes, stop)
+    /// eventfd: other threads -> loop (accepts, pending writes, stop).
+    /// Both fds close with the loop, after every callback has run.
+    int wake_fd = -1;
     std::thread thread;
     /// Connections owned by this loop; only its thread touches the map.
     std::unordered_map<int, ConnectionPtr> connections;
-    /// Cross-thread handoff, guarded by mutex: freshly accepted fds and
-    /// connections with newly queued outbound bytes.
+    /// Guarded by mutex: freshly accepted fds, and connections with newly
+    /// queued outbound bytes (flushed at the end of each loop iteration).
     std::mutex mutex;
     std::vector<int> pending_accepts;
     std::vector<ConnectionPtr> pending_writes;
-  };
 
-  /// Work item for the completion pump.
-  struct PumpItem {
-    ConnectionPtr conn;
-    uint64_t request_id = 0;
-    int64_t enqueued_us = 0;  ///< frame-decode timestamp (request_us)
-    serve::ClassificationFuture future;  ///< classify item iff valid
-    std::function<std::string()> control;  ///< control item iff set
+    ~EventLoop();
   };
 
   void LoopMain(size_t index);
-  void PumpMain();
+  /// Runs queued swap/canary work until Shutdown's empty sentinel.
+  void ControlMain();
 
   void AdoptPendingAccepts(EventLoop* loop);
   void RegisterConnection(EventLoop* loop, int fd);
@@ -220,10 +225,22 @@ class Server {
   void HandleFrame(EventLoop* loop, const ConnectionPtr& conn, Frame frame);
   /// Admission control + Router submit for one classify frame.
   void HandleClassify(const ConnectionPtr& conn, const Frame& frame);
-  /// Sheds one classify with an error response (code + message).
-  void RespondError(const ConnectionPtr& conn, uint64_t request_id,
-                    const Status& status);
-  /// Appends encoded bytes to conn's outbound and wakes its loop. Returns
+  /// Admission control for one decoded classify; a refusal is counted as
+  /// shed. Sets *remaining_budget_us from the absolute deadline (0 = none).
+  Status Admit(uint64_t request_id, const ClassifyRequestMsg& msg,
+               size_t inflight_now, int64_t* remaining_budget_us);
+  /// The one exit of every classify frame, on whichever thread has its
+  /// result (loop, engine worker): encodes the response, counts it exactly
+  /// once (ok / error / dropped) and releases its in-flight slot.
+  void FinishClassify(const ConnectionPtr& conn, uint64_t request_id,
+                      int64_t t0_us,
+                      const Result<serve::Classification>& result);
+  /// Swap/canary frame: refused inline or queued for the control thread.
+  void HandleControl(const ConnectionPtr& conn, const Frame& frame);
+  /// Returns one in-flight slot and wakes a draining Shutdown at zero.
+  void ReleaseSlot();
+  /// Appends encoded bytes to conn's outbound and queues the connection
+  /// for a flush, waking its loop unless called from that loop. Returns
   /// false (and counts nothing) when the connection is already closed.
   bool EnqueueOutput(const ConnectionPtr& conn, const std::string& bytes);
   /// Flushes as much outbound as the socket accepts (loop thread only);
@@ -257,11 +274,11 @@ class Server {
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_{false};
 
-  // Completion pump.
-  std::vector<std::thread> pumps_;
-  std::mutex pump_mutex_;
-  std::condition_variable pump_cv_;
-  std::deque<PumpItem> pump_queue_;
+  // Control thread: swap/canary work, FIFO; an empty task stops it.
+  std::thread control_thread_;
+  std::mutex control_mutex_;
+  std::condition_variable control_cv_;
+  std::deque<std::function<void()>> control_queue_;
 
   // Drain rendezvous: Shutdown waits here for inflight_ to hit zero.
   std::mutex drain_mutex_;

@@ -31,6 +31,14 @@ uint64_t NextRequestId() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+ClassificationCallback PromiseCallback(ClassificationFuture* future) {
+  auto promise = std::make_shared<std::promise<Result<Classification>>>();
+  *future = promise->get_future();
+  return [promise](Result<Classification> result) {
+    promise->set_value(std::move(result));
+  };
+}
+
 InferenceEngine::InferenceEngine(std::shared_ptr<const Snapshot> snapshot,
                                  EngineOptions options)
     : snapshot_(std::move(snapshot)), options_(options) {
@@ -108,7 +116,7 @@ void InferenceEngine::Stop() {
     PublishHealthLocked();
     if (!started_) {
       // Never-started engine: there is no worker to drain the queue, so
-      // fail every pending future instead of leaving callers blocked.
+      // fail every pending request instead of leaving callers waiting.
       while (!queue_.empty()) {
         orphaned.push_back(std::move(queue_.front()));
         queue_.pop_front();
@@ -126,7 +134,7 @@ void InferenceEngine::Stop() {
     requests_unavailable_->Increment();
     recorder_->Record(FlightEventType::kRequestUnavailable,
                       pending.request.request_id, 0);
-    pending.promise.set_value(
+    pending.done(
         Status::Unavailable("engine stopped before serving this request"));
   }
   for (auto& worker : workers_) worker.join();
@@ -136,6 +144,13 @@ void InferenceEngine::Stop() {
 }
 
 Result<ClassificationFuture> InferenceEngine::Submit(ArticleRequest request) {
+  ClassificationFuture future;
+  FKD_RETURN_NOT_OK(Submit(std::move(request), PromiseCallback(&future)));
+  return future;
+}
+
+Status InferenceEngine::Submit(ArticleRequest request,
+                               ClassificationCallback done) {
   FKD_RETURN_NOT_OK(
       snapshot_->ValidateIds(request.creator_id, request.subject_ids));
   if (request.request_id == 0) request.request_id = NextRequestId();
@@ -151,7 +166,7 @@ Result<ClassificationFuture> InferenceEngine::Submit(ArticleRequest request) {
                                std::chrono::microseconds(deadline_us)
                          : Clock::time_point::max();
   pending.request = std::move(request);
-  ClassificationFuture future = pending.promise.get_future();
+  pending.done = std::move(done);
 
   size_t depth_after = 0;
   {
@@ -192,7 +207,7 @@ Result<ClassificationFuture> InferenceEngine::Submit(ArticleRequest request) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   recorder_->Record(FlightEventType::kEngineEnqueue, request_id, depth_after);
   queue_cv_.notify_one();
-  return future;
+  return Status::OK();
 }
 
 void InferenceEngine::WorkerLoop() {
@@ -254,7 +269,7 @@ void InferenceEngine::FailExpired(std::vector<Pending>* live,
           << "request " << pending.request.request_id << " expired after "
           << StrFormat("%.0f", waited_us)
           << " us in queue (rate-limited: 1 in 64 logged)";
-      pending.promise.set_value(Status::DeadlineExceeded(StrFormat(
+      pending.done(Status::DeadlineExceeded(StrFormat(
           "request expired after %.0f us in queue", waited_us)));
     } else {
       kept.push_back(std::move(pending));
@@ -283,7 +298,7 @@ void InferenceEngine::ProcessBatch(std::vector<Pending> batch) {
 
   // Run the forward, retrying transient failures (site "serve.batch" lets
   // tests inject them deterministically) with exponential backoff. A fatal
-  // error or exhausted retries fails every future in the batch.
+  // error or exhausted retries fails every request in the batch.
   recorder_->Record(FlightEventType::kBatchStart, live.size(),
                     options_.version_tag);
   Tensor logits;
@@ -325,15 +340,15 @@ void InferenceEngine::ProcessBatch(std::vector<Pending> batch) {
         << " (rate-limited: 1 in 16 logged)";
     recorder_->Record(FlightEventType::kBatchFailed, live.size(),
                       options_.version_tag);
-    // Record the outcome BEFORE fulfilling the futures: a caller that sees
-    // its future fail must also see the breaker's updated state.
+    // Record the outcome BEFORE running the callbacks: a caller that sees
+    // its request fail must also see the breaker's updated state.
     RecordBatchOutcome(false);
     for (auto& pending : live) {
       failed_.fetch_add(1, std::memory_order_relaxed);
       requests_failed_->Increment();
       recorder_->Record(FlightEventType::kRequestFailed,
                         pending.request.request_id, 0);
-      pending.promise.set_value(batch_status);
+      pending.done(batch_status);
     }
     return;
   }
@@ -392,7 +407,7 @@ void InferenceEngine::ProcessBatch(std::vector<Pending> batch) {
     if (options_.completion_hook) {
       options_.completion_hook(live[r].request, result);
     }
-    live[r].promise.set_value(std::move(result));
+    live[r].done(std::move(result));
   }
 }
 

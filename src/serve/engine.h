@@ -30,7 +30,7 @@ struct ArticleRequest {
   std::string text;
   int32_t creator_id = -1;
   std::vector<int32_t> subject_ids;
-  /// Per-request deadline in microseconds from Submit(); the future fails
+  /// Per-request deadline in microseconds from Submit(); the request fails
   /// with DeadlineExceeded instead of blocking forever once it lapses.
   /// 0 falls back to EngineOptions::default_deadline_us.
   int64_t deadline_us = 0;
@@ -82,6 +82,15 @@ struct Classification {
 
 using ClassificationFuture = std::future<Result<Classification>>;
 
+/// Completion callback of a request accepted by Submit: runs exactly once
+/// with the request's outcome, on whichever thread resolved it, and never
+/// while an engine or router mutex is held. It must not block.
+using ClassificationCallback = std::function<void(Result<Classification>)>;
+
+/// A callback that fulfils `*future` — how the future-returning Submit
+/// overloads wrap the callback path.
+ClassificationCallback PromiseCallback(ClassificationFuture* future);
+
 /// Tuning knobs of the serving engine.
 struct EngineOptions {
   /// Fixed worker thread-pool size.
@@ -95,7 +104,7 @@ struct EngineOptions {
   /// Deadline applied to requests that set none (0 = no deadline).
   int64_t default_deadline_us = 0;
   /// Transient (Status::IsRetryable) batch failures are retried up to this
-  /// many times before the batch's futures are failed.
+  /// many times before the batch's requests are failed.
   size_t max_batch_retries = 2;
   /// Backoff before retry k is `retry_backoff_us << k` (exponential).
   int64_t retry_backoff_us = 500;
@@ -123,8 +132,8 @@ struct EngineOptions {
   /// -1 (default) reads FKD_SLOW_TRACE_US; 0 traces every request.
   int64_t slow_trace_us = -1;
   /// Invoked on the worker thread for every successful classification,
-  /// after the result is complete but before its future is fulfilled (a
-  /// caller that observes the future also observes the hook's effects).
+  /// after the result is complete but before its completion callback runs
+  /// (a caller that observes the result also observes the hook's effects).
   /// Must be thread-safe and must not block; the Router uses it to fill
   /// its score cache. Null disables it.
   std::function<void(const ArticleRequest&, const Classification&)>
@@ -141,16 +150,16 @@ enum class EngineHealth {
 /// Monotone counters describing an engine's lifetime so far.
 struct EngineStats {
   uint64_t submitted = 0;  ///< Accepted into the queue.
-  uint64_t completed = 0;  ///< Futures fulfilled with a Classification.
+  uint64_t completed = 0;  ///< Requests served a Classification.
   uint64_t rejected = 0;   ///< Refused at Submit (queue full / stopped).
-  uint64_t expired = 0;    ///< Futures failed with DeadlineExceeded.
-  /// Futures failed with DeadlineExceeded, including those that lapsed
+  uint64_t expired = 0;    ///< Requests failed with DeadlineExceeded.
+  /// Requests failed with DeadlineExceeded, including those that lapsed
   /// while their batch was in retry backoff (superset of `expired`'s
   /// batch-formation path; today the two advance together).
   uint64_t deadline_exceeded = 0;
   uint64_t batches = 0;  ///< Forward passes run (attempts, incl. retries).
   uint64_t retries = 0;  ///< Batch attempts repeated after transient failure.
-  uint64_t failed = 0;   ///< Futures failed by an exhausted/fatal batch.
+  uint64_t failed = 0;   ///< Requests failed by an exhausted/fatal batch.
   uint64_t shed = 0;     ///< Submissions refused by the open breaker.
   /// Accepted into the queue but failed with Unavailable because the
   /// engine stopped before a worker could serve them (never-started
@@ -164,32 +173,32 @@ struct EngineStats {
 /// Every accepted request resolves exactly one way, so for any engine at
 /// rest (no in-flight work):
 ///   submitted == completed + expired + failed + unavailable
-/// and refusals (never accepted, futures never created) are disjoint:
+/// and refusals (never accepted, callbacks never run) are disjoint:
 ///   refused  == rejected + shed
 /// router_test asserts these invariants under hot-swap stress.
 
 /// Multi-threaded micro-batching inference server over a frozen Snapshot.
 ///
-/// Callers Submit() ArticleRequests and receive futures; a fixed pool of
-/// workers drains the bounded queue into batches of up to `max_batch_size`
-/// (waiting at most `max_batch_delay_us` for stragglers), runs one
-/// tape-free batched forward per batch, and fulfils the futures with class
-/// probabilities. Batch forwards execute their tensor kernels on the shared
+/// Callers Submit() ArticleRequests with a completion callback (or take a
+/// future); a fixed pool of workers drains the bounded queue into batches
+/// of up to `max_batch_size` (waiting at most `max_batch_delay_us` for
+/// stragglers), runs one tape-free batched forward per batch, and calls
+/// each request's callback with its class probabilities. Batch forwards execute their tensor kernels on the shared
 /// process-wide intra-op pool (common/thread_pool.h, FKD_NUM_THREADS), so a
 /// single batch is parallel across rows and trainer + engine never
 /// oversubscribe the machine with private pools. Robustness semantics:
 ///
 ///  - backpressure: the queue is bounded; Submit() fails fast with
 ///    Unavailable when it is full instead of buffering without limit;
-///  - deadlines: a request whose deadline lapses before its batch runs has
-///    its future failed with DeadlineExceeded rather than served late;
+///  - deadlines: a request whose deadline lapses before its batch runs is
+///    failed with DeadlineExceeded rather than served late;
 ///  - shutdown: Stop() drains — started workers finish every queued
 ///    request (batch delay waived) before joining; anything still queued
 ///    on a never-started engine fails with Unavailable;
 ///  - retries: a batch whose forward fails with a retryable error
 ///    (Status::IsRetryable — Unavailable/IoError) is retried with
 ///    exponential backoff up to max_batch_retries times; fatal errors and
-///    exhausted retries fail the batch's futures with that error;
+///    exhausted retries fail the batch's requests with that error;
 ///  - circuit breaker: sustained batch failures trip a per-engine breaker
 ///    that sheds new submissions with Unavailable until a cool-down plus
 ///    one successful half-open probe batch close it again (graceful
@@ -224,12 +233,16 @@ class InferenceEngine {
   /// class comment), joins the workers. Idempotent.
   void Stop();
 
-  /// Validates and enqueues one request. On acceptance returns a future
-  /// that is eventually fulfilled with the Classification, a
-  /// DeadlineExceeded error, or an Unavailable error (engine stopped
-  /// before serving it). Returns an error Status directly when the request
-  /// is invalid (bad graph ids), the queue is full, or the engine is
-  /// stopped.
+  /// Validates and enqueues one request. On acceptance `done` later runs
+  /// exactly once, on a worker (or on the Stop() caller), with the
+  /// Classification, a DeadlineExceeded error, the failed batch's error,
+  /// or an Unavailable error (engine stopped before serving it). Returns
+  /// an error Status, and never runs `done`, when the request is invalid
+  /// (bad graph ids), the queue is full, the breaker is open, or the
+  /// engine is stopped.
+  Status Submit(ArticleRequest request, ClassificationCallback done);
+
+  /// Future-returning form of the above.
   Result<ClassificationFuture> Submit(ArticleRequest request);
 
   EngineStats Stats() const;
@@ -253,7 +266,7 @@ class InferenceEngine {
 
   struct Pending {
     ArticleRequest request;
-    std::promise<Result<Classification>> promise;
+    ClassificationCallback done;
     Clock::time_point submitted_at;
     Clock::time_point dequeued_at;  ///< When a worker took it off the queue.
     Clock::time_point deadline;  ///< time_point::max() = none.

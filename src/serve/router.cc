@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <future>
 #include <utility>
 
 #include "common/logging.h"
@@ -154,6 +153,12 @@ Status Router::Start(std::shared_ptr<const ServingModel> initial) {
 }
 
 Result<ClassificationFuture> Router::Submit(ArticleRequest request) {
+  ClassificationFuture future;
+  FKD_RETURN_NOT_OK(Submit(std::move(request), PromiseCallback(&future)));
+  return future;
+}
+
+Status Router::Submit(ArticleRequest request, ClassificationCallback done) {
   // Birth of the request context: correlation id + deadline budget travel
   // with the request through cache lookup, canary split, engine queue and
   // micro-batch into the Classification's latency breakdown.
@@ -165,7 +170,7 @@ Result<ClassificationFuture> Router::Submit(ArticleRequest request) {
                     static_cast<uint64_t>(std::max<int64_t>(
                         0, request.deadline_us)));
 
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   if (!started_ || stopped_ || primary_ == nullptr) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable("router is not serving");
@@ -208,10 +213,9 @@ Result<ClassificationFuture> Router::Submit(ArticleRequest request) {
       cached.total_us = std::chrono::duration<double, std::micro>(
                             std::chrono::steady_clock::now() - submitted_at)
                             .count();
-      std::promise<Result<Classification>> ready;
-      ClassificationFuture future = ready.get_future();
-      ready.set_value(std::move(cached));
-      return future;
+      lock.unlock();
+      done(std::move(cached));
+      return Status::OK();
     }
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
     cache_miss_total_->Increment();
@@ -239,8 +243,8 @@ Result<ClassificationFuture> Router::Submit(ArticleRequest request) {
     }
   }
   InferenceEngine& engine = *target->engines[replica];
-  Result<ClassificationFuture> result = engine.Submit(std::move(request));
-  if (result.ok()) {
+  const Status status = engine.Submit(std::move(request), std::move(done));
+  if (status.ok()) {
     // Count outcomes only after the engine accepted, so
     // submitted == cache_hits + primary_requests + canary_requests holds
     // even when a replica rejects (queue full / breaker open).
@@ -254,7 +258,7 @@ Result<ClassificationFuture> Router::Submit(ArticleRequest request) {
   } else {
     rejected_.fetch_add(1, std::memory_order_relaxed);
   }
-  return result;
+  return status;
 }
 
 Status Router::Publish(std::shared_ptr<const ServingModel> model) {

@@ -107,7 +107,7 @@ struct RouterStats {
 ///  - **Score cache** — results are cached keyed by (snapshot version,
 ///    request content hash), filled by the engines' completion hooks.
 ///    A hit skips tokenisation and the GDU forward pass entirely and
-///    resolves the future immediately (`Classification::from_cache`).
+///    completes on the caller's thread (`Classification::from_cache`).
 ///    Versioned keys are the invalidation rule: publishing a new version
 ///    changes every key, so stale scores are never served — old-version
 ///    entries simply age out of the LRU.
@@ -154,8 +154,15 @@ class Router {
   Status Start(std::shared_ptr<const ServingModel> initial);
 
   /// Classifies one article: cache lookup first, then consistent-hash
-  /// placement onto a primary (or canary) replica. Returns the engine
-  /// error when the chosen replica refuses (queue full / stopped).
+  /// placement onto a primary (or canary) replica. A cache hit runs `done`
+  /// on the calling thread before Submit returns, after the router mutex
+  /// is released (so `done` may re-enter Submit); a miss hands `done` to
+  /// the engine, which runs it on a worker. Returns the engine error, and
+  /// never runs `done`, when the chosen replica refuses (queue full /
+  /// stopped) or the router is not serving.
+  Status Submit(ArticleRequest request, ClassificationCallback done);
+
+  /// Future-returning form of the above.
   Result<ClassificationFuture> Submit(ArticleRequest request);
 
   /// Atomically swaps the primary to `model` (see class comment). Blocks

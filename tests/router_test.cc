@@ -24,6 +24,7 @@
 #include "data/split.h"
 #include "serve/model_store.h"
 #include "serve/router.h"
+#include "tests/callback_probe.h"
 
 namespace fkd {
 namespace serve {
@@ -524,6 +525,128 @@ void RunHotSwapStress(VersionedModelStore& store) {
 TEST(RouterTest, HotSwapStressZeroDowntime) {
   VersionedModelStore store;
   RunHotSwapStress(store);
+}
+
+// ==== RouterCallbackTest: the push path =====================================
+
+TEST(RouterCallbackTest, HitRunsOnceOnTheCallerBeforeSubmitReturns) {
+  VersionedModelStore store;
+  Router router(FastRouterOptions());
+  ASSERT_TRUE(router.Start(LoadVersion(&store)).ok());
+  const std::string text = SampleText(0);
+  ASSERT_TRUE(SubmitAndWait(&router, text).ok());  // fills the cache
+
+  testing::CallbackProbe probe;
+  ASSERT_TRUE(
+      router.Submit(ArticleRequest{text, -1, {}, 0}, probe.Callback()).ok());
+  EXPECT_EQ(probe.calls(), 1) << "a hit completes inside Submit";
+  EXPECT_EQ(probe.thread(), std::this_thread::get_id());
+  auto result = probe.Wait();
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.value().from_cache);
+  router.Stop();
+  EXPECT_EQ(probe.calls(), 1);
+}
+
+TEST(RouterCallbackTest, MissRunsOnceOnAnEngineWorker) {
+  VersionedModelStore store;
+  Router router(FastRouterOptions());
+  ASSERT_TRUE(router.Start(LoadVersion(&store)).ok());
+  testing::CallbackProbe probe;
+  ASSERT_TRUE(router
+                  .Submit(ArticleRequest{SampleText(1), -1, {}, 0},
+                          probe.Callback())
+                  .ok());
+  auto result = probe.Wait();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result.value().from_cache);
+  EXPECT_NE(probe.thread(), std::this_thread::get_id());
+  router.Stop();  // drains the engines: any second run would be visible
+  EXPECT_EQ(probe.calls(), 1);
+  EXPECT_EQ(router.Stats().cache_misses, 1u);
+}
+
+TEST(RouterCallbackTest, HitCallbackMayReenterTheRouter) {
+  VersionedModelStore store;
+  Router router(FastRouterOptions());
+  ASSERT_TRUE(router.Start(LoadVersion(&store)).ok());
+  const std::string text = SampleText(2);
+  ASSERT_TRUE(SubmitAndWait(&router, text).ok());
+
+  // The router mutex is released before a hit's callback runs, so the
+  // callback may submit again (another hit, completing inline) and read
+  // the stats; holding the mutex here would deadlock.
+  testing::CallbackProbe inner;
+  testing::CallbackProbe outer;
+  const ClassificationCallback record = outer.Callback();
+  Status inner_status = Status::Unavailable("inner submit never ran");
+  ASSERT_TRUE(router
+                  .Submit(ArticleRequest{text, -1, {}, 0},
+                          [&](Result<Classification> result) {
+                            inner_status = router.Submit(
+                                ArticleRequest{text, -1, {}, 0},
+                                inner.Callback());
+                            EXPECT_GE(router.Stats().cache_hits, 2u);
+                            record(std::move(result));
+                          })
+                  .ok());
+  EXPECT_TRUE(inner_status.ok());
+  EXPECT_EQ(outer.calls(), 1);
+  EXPECT_EQ(inner.calls(), 1);
+  EXPECT_EQ(router.Stats().cache_hits, 2u);
+  router.Stop();
+}
+
+TEST(RouterCallbackTest, NeverRunsForARefusedSubmit) {
+  VersionedModelStore store;
+  Router router(FastRouterOptions());
+  testing::CallbackProbe refused;
+  EXPECT_EQ(router.Submit(ArticleRequest{"early", -1, {}, 0},
+                          refused.Callback())
+                .code(),
+            StatusCode::kUnavailable);
+  ASSERT_TRUE(router.Start(LoadVersion(&store)).ok());
+  // The engine refuses an out-of-range graph id.
+  ArticleRequest bad_ids;
+  bad_ids.text = "bad ids";
+  bad_ids.creator_id = 1 << 30;
+  EXPECT_EQ(router.Submit(std::move(bad_ids), refused.Callback()).code(),
+            StatusCode::kInvalidArgument);
+  router.Stop();
+  EXPECT_EQ(
+      router.Submit(ArticleRequest{"late", -1, {}, 0}, refused.Callback())
+          .code(),
+      StatusCode::kUnavailable);
+  EXPECT_EQ(refused.calls(), 0);
+  EXPECT_EQ(router.Stats().rejected, 3u);
+}
+
+TEST(RouterCallbackTest, CallbackAndFutureResultsAreBitwiseIdentical) {
+  VersionedModelStore store;
+  auto model = LoadVersion(&store);
+  // Engine-served answers (no cache) and cache hits, each both ways.
+  for (const size_t cache_capacity : {size_t{0}, size_t{64}}) {
+    RouterOptions options = FastRouterOptions();
+    options.cache_capacity = cache_capacity;
+    Router router(options);
+    ASSERT_TRUE(router.Start(model).ok());
+    for (size_t i = 0; i < 4; ++i) {
+      const std::string text = SampleText(i);
+      if (cache_capacity > 0) {
+        ASSERT_TRUE(SubmitAndWait(&router, text).ok());  // fills the cache
+      }
+      auto by_future = SubmitAndWait(&router, text);
+      testing::CallbackProbe probe;
+      ASSERT_TRUE(
+          router.Submit(ArticleRequest{text, -1, {}, 0}, probe.Callback())
+              .ok());
+      auto by_callback = probe.Wait();
+      ASSERT_TRUE(by_future.ok() && by_callback.ok());
+      EXPECT_EQ(by_callback.value().from_cache, cache_capacity > 0);
+      testing::ExpectSameScores(by_future.value(), by_callback.value());
+    }
+    router.Stop();
+  }
 }
 
 // ==== BudgetTest: memory-budgeted residency ==================================

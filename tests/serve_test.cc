@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
@@ -18,6 +19,7 @@
 #include "serve/snapshot.h"
 #include "tensor/autograd.h"
 #include "tensor/ops.h"
+#include "tests/callback_probe.h"
 #include "text/features.h"
 
 namespace fkd {
@@ -618,6 +620,153 @@ TEST(ServeEngineTest, HealthReportsDrainingOnceStopped) {
   EXPECT_EQ(engine.Health(), EngineHealth::kDraining);
   EXPECT_EQ(health_gauge->Value(),
             static_cast<double>(EngineHealth::kDraining));
+}
+
+// ---- completion callbacks -------------------------------------------------------
+//
+// Every accepted request runs its callback exactly once, whichever way it
+// resolves; a refused one never runs it. Engine Stop() joins the workers,
+// so a count read after it is final.
+
+TEST(ServeCallbackTest, RunsOnceAfterTheCompletionHookWhenServed) {
+  const auto& fixture = SharedFixture();
+  std::atomic<int> hooked{0};
+  EngineOptions options = DeterministicOptions();
+  options.completion_hook = [&](const ArticleRequest&, const Classification&) {
+    hooked.fetch_add(1);
+  };
+  InferenceEngine engine(fixture.snapshot, options);
+  ASSERT_TRUE(engine.Start().ok());
+  testing::CallbackProbe probe;
+  const ClassificationCallback record = probe.Callback();
+  int hooked_before_callback = -1;
+  ASSERT_TRUE(engine
+                  .Submit(ArticleRequest{SampleTexts(1)[0], -1, {}, 0},
+                          [&](Result<Classification> result) {
+                            hooked_before_callback = hooked.load();
+                            record(std::move(result));
+                          })
+                  .ok());
+  auto result = probe.Wait();
+  engine.Stop();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(probe.calls(), 1);
+  EXPECT_EQ(hooked_before_callback, 1) << "cache-fill hook runs first";
+  EXPECT_NE(probe.thread(), std::this_thread::get_id()) << "runs on a worker";
+  EXPECT_EQ(engine.Stats().completed, 1u);
+}
+
+TEST(ServeCallbackTest, RunsOnceWhenTheDeadlineExpires) {
+  const auto& fixture = SharedFixture();
+  InferenceEngine engine(fixture.snapshot);
+  ArticleRequest request;
+  request.text = "deadline victim";
+  request.deadline_us = 1000;
+  testing::CallbackProbe probe;
+  ASSERT_TRUE(engine.Submit(std::move(request), probe.Callback()).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE(engine.Start().ok());
+  auto result = probe.Wait();
+  engine.Stop();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(probe.calls(), 1);
+  EXPECT_EQ(engine.Stats().expired, 1u);
+}
+
+TEST(ServeCallbackTest, RunsOnceWhenTheBatchFailsAfterRetries) {
+  const auto& fixture = SharedFixture();
+  EngineOptions options = DeterministicOptions();
+  options.max_batch_retries = 1;
+  options.max_batch_size = 4;
+  InferenceEngine engine(fixture.snapshot, options);
+  testing::CallbackProbe probes[2];
+  const std::vector<std::string> texts = SampleTexts(2);
+  for (size_t i = 0; i < texts.size(); ++i) {
+    ASSERT_TRUE(engine
+                    .Submit(ArticleRequest{texts[i], -1, {}, 0},
+                            probes[i].Callback())
+                    .ok());
+  }
+  ScopedFaults faults("serve.batch:fail");
+  ASSERT_TRUE(engine.Start().ok());
+  for (auto& probe : probes) {
+    auto result = probe.Wait();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  }
+  engine.Stop();
+  for (const auto& probe : probes) EXPECT_EQ(probe.calls(), 1);
+  EXPECT_EQ(engine.Stats().failed, 2u);
+  EXPECT_EQ(engine.Stats().retries, 1u);
+}
+
+TEST(ServeCallbackTest, RunsOnceOnTheStopCallerWhenStoppedWithWorkQueued) {
+  const auto& fixture = SharedFixture();
+  InferenceEngine engine(fixture.snapshot);  // never started
+  testing::CallbackProbe probes[3];
+  for (auto& probe : probes) {
+    ASSERT_TRUE(
+        engine.Submit(ArticleRequest{"queued", -1, {}, 0}, probe.Callback())
+            .ok());
+  }
+  engine.Stop();
+  for (const auto& probe : probes) {
+    EXPECT_EQ(probe.calls(), 1);
+    EXPECT_EQ(probe.thread(), std::this_thread::get_id());
+  }
+  auto result = probes[0].Wait();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(engine.Stats().unavailable, 3u);
+}
+
+TEST(ServeCallbackTest, NeverRunsForARefusedSubmit) {
+  const auto& fixture = SharedFixture();
+  EngineOptions options;
+  options.max_queue_depth = 1;
+  InferenceEngine engine(fixture.snapshot, options);  // not started: fills
+  testing::CallbackProbe accepted;
+  testing::CallbackProbe refused;
+  ASSERT_TRUE(
+      engine.Submit(ArticleRequest{"fills", -1, {}, 0}, accepted.Callback())
+          .ok());
+  // Queue full, bad graph id, then stopped: three refusals.
+  EXPECT_EQ(
+      engine.Submit(ArticleRequest{"overflow", -1, {}, 0}, refused.Callback())
+          .code(),
+      StatusCode::kUnavailable);
+  ArticleRequest bad_ids;
+  bad_ids.text = "bad ids";
+  bad_ids.creator_id =
+      static_cast<int32_t>(fixture.snapshot->creator_states.rows()) + 5;
+  EXPECT_EQ(engine.Submit(std::move(bad_ids), refused.Callback()).code(),
+            StatusCode::kInvalidArgument);
+  engine.Stop();
+  EXPECT_EQ(
+      engine.Submit(ArticleRequest{"late", -1, {}, 0}, refused.Callback())
+          .code(),
+      StatusCode::kUnavailable);
+  EXPECT_EQ(refused.calls(), 0);
+  EXPECT_EQ(accepted.calls(), 1);
+}
+
+TEST(ServeCallbackTest, CallbackAndFutureResultsAreBitwiseIdentical) {
+  const auto& fixture = SharedFixture();
+  InferenceEngine engine(fixture.snapshot, DeterministicOptions());
+  ASSERT_TRUE(engine.Start().ok());
+  for (const std::string& text : SampleTexts(4)) {
+    auto future = engine.Submit(ArticleRequest{text, -1, {}, 0});
+    ASSERT_TRUE(future.ok());
+    auto by_future = future.value().get();
+    testing::CallbackProbe probe;
+    ASSERT_TRUE(
+        engine.Submit(ArticleRequest{text, -1, {}, 0}, probe.Callback()).ok());
+    auto by_callback = probe.Wait();
+    ASSERT_TRUE(by_future.ok() && by_callback.ok());
+    testing::ExpectSameScores(by_future.value(), by_callback.value());
+  }
+  engine.Stop();
 }
 
 }  // namespace

@@ -152,7 +152,6 @@ int main(int argc, char** argv) {
   server_options.host = "127.0.0.1";
   server_options.port = 0;
   server_options.event_loops = 2;
-  server_options.completion_threads = 2;
   fkd::net::Server server(&router, server_options);
   FKD_CHECK_OK(server.Start());
   std::printf("chaos drill serving on 127.0.0.1:%d for %lld ms\n",

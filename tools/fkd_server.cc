@@ -7,7 +7,8 @@
 // smoke tests and quickstarts can bring up a serving endpoint with one
 // command. With a snapshot directory, kSwapRequest frames re-load it and
 // hot-swap the router to the new version; kCanaryRequest frames start (or
-// stop, permille 0) a canary on a fresh load of the same directory.
+// stop, permille 0) a canary on a fresh load of the same directory. Each
+// move retires the version it replaced (net::InstallReloadHandlers).
 //
 // SIGINT/SIGTERM triggers the graceful sequence: stop accepting, drain
 // every in-flight request and flush its response, stop the router, flush
@@ -23,7 +24,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 
@@ -32,6 +32,7 @@
 #include "core/fake_detector.h"
 #include "data/generator.h"
 #include "data/split.h"
+#include "net/reload_handlers.h"
 #include "net/server.h"
 #include "obs/exporter.h"
 #include "obs/flight_recorder.h"
@@ -87,7 +88,6 @@ int main(int argc, char** argv) {
   flags.AddInt("replicas", 2, "primary engine replicas");
   flags.AddInt("workers", 2, "worker threads per engine");
   flags.AddInt("loops", 2, "epoll event-loop threads");
-  flags.AddInt("completion-threads", 2, "future-to-frame pump threads");
   flags.AddInt("max-inflight", 256, "in-flight classify budget");
   flags.AddInt("shed-depth", 0,
                "engine queue depth that sheds new work (0 = auto)");
@@ -128,17 +128,12 @@ int main(int argc, char** argv) {
   router_options.engine.num_workers =
       static_cast<size_t>(flags.GetInt("workers"));
   fkd::serve::Router router(router_options);
-  FKD_CHECK_OK(router.Start(initial.value()));
+  FKD_CHECK_OK(router.Start(std::move(initial).value()));
 
-  // Swap/canary handlers re-load the snapshot directory; a real deployment
-  // would point them at a new artifact path, the moves are identical.
-  std::mutex store_mutex;
   fkd::net::ServerOptions server_options;
   server_options.host = flags.GetString("host");
   server_options.port = static_cast<int>(flags.GetInt("port"));
   server_options.event_loops = static_cast<size_t>(flags.GetInt("loops"));
-  server_options.completion_threads =
-      static_cast<size_t>(flags.GetInt("completion-threads"));
   server_options.max_inflight =
       static_cast<size_t>(flags.GetInt("max-inflight"));
   server_options.shed_queue_depth =
@@ -146,33 +141,10 @@ int main(int argc, char** argv) {
   server_options.max_connections =
       static_cast<size_t>(flags.GetInt("max-connections"));
   server_options.idle_timeout_ms = flags.GetInt("idle-timeout-ms");
-  server_options.swap_handler =
-      [&]() -> fkd::Result<uint64_t> {
-    std::lock_guard<std::mutex> lock(store_mutex);
-    auto model = store.Load(snapshot_dir);
-    FKD_RETURN_NOT_OK(model.status());
-    FKD_RETURN_NOT_OK(router.Publish(model.value()));
-    FKD_RETURN_NOT_OK(store.Publish(model.value()->version));
-    return model.value()->version;
-  };
-  server_options.canary_handler =
-      [&](uint32_t permille) -> fkd::Result<uint64_t> {
-    std::lock_guard<std::mutex> lock(store_mutex);
-    if (permille == 0) {
-      // Idempotent: "canary share 0" with no canary running is a no-op.
-      const fkd::Status stopped = router.StopCanary();
-      if (!stopped.ok() &&
-          stopped.code() != fkd::StatusCode::kFailedPrecondition) {
-        return stopped;
-      }
-      return static_cast<uint64_t>(0);
-    }
-    auto model = store.Load(snapshot_dir);
-    FKD_RETURN_NOT_OK(model.status());
-    FKD_RETURN_NOT_OK(
-        router.StartCanary(model.value(), static_cast<int>(permille)));
-    return model.value()->version;
-  };
+  // Swap/canary frames re-load the snapshot directory; a real deployment
+  // would point them at a new artifact path, the moves are identical.
+  fkd::net::InstallReloadHandlers(snapshot_dir, &router, &store,
+                                  &server_options);
 
   fkd::net::Server server(&router, server_options);
   FKD_CHECK_OK(server.Start());

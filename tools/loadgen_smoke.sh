@@ -28,7 +28,7 @@ trap cleanup EXIT
 
 "${SERVER_BIN}" --demo --demo-articles=80 --port=0 \
   --snapshot="${WORKDIR}/snapshot" --port-file="${PORT_FILE}" \
-  --loops=1 --replicas=1 --workers=1 --completion-threads=1 \
+  --loops=1 --replicas=1 --workers=1 \
   >"${SERVER_LOG}" 2>&1 &
 SERVER_PID=$!
 

@@ -13,8 +13,11 @@
 # FlightRecorder*, StatsExporter*, concurrent registry updates) prove the
 # lock-free instrument paths are race-free: many writer threads against a
 # concurrent snapshot/export reader. The Net*/LoadGen* suites run the epoll
-# front end (event loops + completion pump + client threads) and the
-# multi-connection load generator under TSan; NetClient*/NetChaos* add the
+# front end (event loops, the control thread, client threads, and engine
+# workers pushing results into connection buffers through completion
+# callbacks) and the multi-connection load generator under TSan;
+# Serve*/Router* include the callback suites (exactly-once on every
+# resolution path, re-entrant cache hits); NetClient*/NetChaos* add the
 # resilient client's I/O thread (submitters racing retries/hedges/timeouts)
 # and the fault-injected socket paths, and Quarantine* races the health
 # monitor's quarantine/reinstate transitions against live Submits. The
