@@ -76,7 +76,7 @@ inline void SetLogLevel(LogLevel level) { internal::SetMinLogLevel(level); }
 
 /// Rate-limited logging for hot paths: emits the 1st, (n+1)th, (2n+1)th...
 /// occurrence *at this call site* and swallows the rest, so a retry storm
-/// or breaker flap cannot flood the sink. The per-site counter lives in a
+/// or a sick replica cannot flood the sink. The per-site counter lives in a
 /// lambda-local static, making this a single statement usable anywhere
 /// FKD_LOG is. Emitted lines keep the ISO-8601 + mutex contract of FKD_LOG.
 #define FKD_LOG_EVERY_N(level, n)                                            \

@@ -500,13 +500,16 @@ void NetClient::HandleResponse(uint64_t request_id, const std::string& payload,
     return;
   }
   ClassifyResponseMsg msg = std::move(decoded).value();
-  if (!msg.ok &&
-      static_cast<StatusCode>(msg.status_code) == StatusCode::kUnavailable) {
-    RetryOrFail(request_id, &it->second,
-                Status::Unavailable(msg.message.empty() ? "server shed request"
-                                                        : msg.message),
-                done);
-    return;
+  if (!msg.ok) {
+    // The one retry layer: any retryable answer (a shed, a failed batch) is
+    // retried here, under the request's own deadline, exactly like the
+    // retryable error frames above.
+    const Status reason(static_cast<StatusCode>(msg.status_code),
+                        msg.message);
+    if (reason.IsRetryable()) {
+      RetryOrFail(request_id, &it->second, reason, done);
+      return;
+    }
   }
   if (from_hedge) {
     hedge_wins_.fetch_add(1);

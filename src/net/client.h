@@ -37,7 +37,10 @@ struct NetClientOptions {
   /// budget (deadline propagation; see ClassifyRequestMsg).
   bool propagate_deadline = true;
 
-  /// Retry discipline for Unavailable responses and transport failures.
+  /// Retry discipline for every retryable answer (Status::IsRetryable:
+  /// Unavailable or IoError, as a response or an error frame) and for
+  /// transport failures. The serving engine fails fast, so these are the
+  /// only retries a request gets.
   RetryOptions retry;
 
   /// Hedged requests: a speculative second copy of a slow request on a
@@ -56,7 +59,8 @@ struct NetClientStats {
   uint64_t ok = 0;                 ///< Completed with a classification.
   uint64_t shed = 0;               ///< Final answer was Unavailable (shed).
   uint64_t deadline_exceeded = 0;  ///< Server- or client-side deadline.
-  uint64_t transport_errors = 0;   ///< Connection failures exhausted retries.
+  uint64_t transport_errors = 0;   ///< Final answer was IoError (connection
+                                   ///< loss or a failed batch).
   uint64_t other_errors = 0;       ///< Any other terminal error.
   uint64_t retries = 0;            ///< Resubmissions (backoff or reconnect).
   uint64_t hedges = 0;             ///< Speculative second attempts launched.
@@ -68,8 +72,13 @@ struct NetClientStats {
 /// Resilient asynchronous FKDN/1 classify client: one multiplexed
 /// connection (plus a lazy second one for hedges), per-request deadlines,
 /// retry with deadline-bounded exponential backoff + deterministic jitter
-/// on Unavailable/transport failures, and idempotent resubmission.
+/// on retryable answers (a shed, a failed batch) and transport failures,
+/// and idempotent resubmission.
 ///
+///  - **One retry layer** — the client owns the deadline, so it alone
+///    retries: the engine fails a batch fast and the server never
+///    resubmits, so attempts never multiply across layers. A sick replica
+///    is kept out of rotation by the router's quarantine, not by retries.
 ///  - **Request identity** — every logical request keeps one request id
 ///    across all its attempts (retries, reconnect resends, hedges). The
 ///    first response with that id wins and completes the request; any

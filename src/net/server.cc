@@ -506,8 +506,8 @@ Status Server::Admit(uint64_t request_id, const ClassifyRequestMsg& msg,
                     inflight_now - 1)));
   }
   // Queue-depth-aware early shed: when the engines are already saturated,
-  // refusing here is strictly better than queueing work the breaker or the
-  // deadline will kill anyway.
+  // refusing here is strictly better than queueing work the deadline will
+  // kill anyway. The client retries the shed under its own budget.
   const size_t engine_depth = router_->QueueDepth();
   if (engine_depth >= resolved_shed_depth_) {
     return shed(FlightEventType::kNetShed, engine_depth,
@@ -571,17 +571,14 @@ void Server::FinishClassify(const ConnectionPtr& conn, uint64_t request_id,
   const std::string response =
       EncodeFrame(MessageType::kClassifyResponse, request_id,
                   EncodeClassifyResponse(ClassifyResponseFromResult(result)));
-  // A classify response counts exactly once: ok/error when it reaches the
+  // A classify response counts exactly once: ok/error as it joins the
   // connection's output queue, dropped when the connection died first. The
   // shutdown invariant classify_frames == ok + error + dropped depends on
   // these being disjoint.
-  if (!EnqueueOutput(conn, response)) {
+  if (!EnqueueOutput(conn, response,
+                     result.ok() ? &responses_ok_ : &responses_error_)) {
     responses_dropped_.fetch_add(1, std::memory_order_relaxed);
     responses_dropped_total_->Increment();
-  } else if (result.ok()) {
-    responses_ok_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    responses_error_.fetch_add(1, std::memory_order_relaxed);
   }
   request_us_->Observe(static_cast<double>(NowUs() - t0_us));
   conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
@@ -602,12 +599,14 @@ void Server::ReleaseSlot() {
 // ---- write path --------------------------------------------------------------
 
 bool Server::EnqueueOutput(const ConnectionPtr& conn,
-                           const std::string& bytes) {
+                           const std::string& bytes,
+                           std::atomic<uint64_t>* sent) {
   if (conn->closed.load(std::memory_order_acquire)) return false;
   {
     std::lock_guard<std::mutex> lock(conn->out_mutex);
     if (conn->closed.load(std::memory_order_acquire)) return false;
     conn->outbound.append(bytes);
+    if (sent != nullptr) sent->fetch_add(1, std::memory_order_relaxed);
   }
   frames_out_.fetch_add(1, std::memory_order_relaxed);
   frames_out_total_->Increment();

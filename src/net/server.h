@@ -242,7 +242,11 @@ class Server {
   /// Appends encoded bytes to conn's outbound and queues the connection
   /// for a flush, waking its loop unless called from that loop. Returns
   /// false (and counts nothing) when the connection is already closed.
-  bool EnqueueOutput(const ConnectionPtr& conn, const std::string& bytes);
+  /// `sent`, when given, is bumped under the same lock as the append, so
+  /// it is counted before any loop can flush the bytes: a peer that has
+  /// read them and then reads Stats() sees them counted.
+  bool EnqueueOutput(const ConnectionPtr& conn, const std::string& bytes,
+                     std::atomic<uint64_t>* sent = nullptr);
   /// Flushes as much outbound as the socket accepts (loop thread only);
   /// arms EPOLLOUT when bytes remain.
   void FlushOutput(EventLoop* loop, const ConnectionPtr& conn);

@@ -116,17 +116,13 @@ const char* FlightEventTypeName(FlightEventType type) {
     case FlightEventType::kCacheMiss: return "cache_miss";
     case FlightEventType::kEngineEnqueue: return "engine_enqueue";
     case FlightEventType::kEngineReject: return "engine_reject";
-    case FlightEventType::kEngineShed: return "engine_shed";
     case FlightEventType::kRequestComplete: return "request_complete";
     case FlightEventType::kRequestDeadline: return "request_deadline";
     case FlightEventType::kRequestFailed: return "request_failed";
     case FlightEventType::kRequestUnavailable: return "request_unavailable";
     case FlightEventType::kBatchStart: return "batch_start";
     case FlightEventType::kBatchEnd: return "batch_end";
-    case FlightEventType::kBatchRetry: return "batch_retry";
     case FlightEventType::kBatchFailed: return "batch_failed";
-    case FlightEventType::kBreakerOpen: return "breaker_open";
-    case FlightEventType::kBreakerClose: return "breaker_close";
     case FlightEventType::kEngineStart: return "engine_start";
     case FlightEventType::kEngineStop: return "engine_stop";
     case FlightEventType::kModelPublish: return "model_publish";

@@ -10,7 +10,8 @@ namespace fkd {
 namespace obs {
 
 /// What happened. Values are stable (they appear in dump files); append
-/// only.
+/// only. Values 6, 22, 24 and 25 are retired: older dumps may hold them,
+/// so they are never reused.
 enum class FlightEventType : uint32_t {
   kNone = 0,
   // Request lifecycle (a = request id, b = detail).
@@ -19,7 +20,6 @@ enum class FlightEventType : uint32_t {
   kCacheMiss = 3,
   kEngineEnqueue = 4,    ///< b = queue depth after enqueue
   kEngineReject = 5,     ///< b = queue depth at rejection
-  kEngineShed = 6,       ///< b = breaker state
   kRequestComplete = 7,  ///< b = total latency us
   kRequestDeadline = 8,  ///< b = total latency us
   kRequestFailed = 9,    ///< b = total latency us
@@ -27,10 +27,7 @@ enum class FlightEventType : uint32_t {
   // Batch / engine (a = batch size, b = detail).
   kBatchStart = 20,      ///< b = model version
   kBatchEnd = 21,        ///< b = compute us
-  kBatchRetry = 22,      ///< b = attempt number
   kBatchFailed = 23,     ///< b = model version
-  kBreakerOpen = 24,     ///< a = consecutive failures
-  kBreakerClose = 25,
   kEngineStart = 26,     ///< a = worker count
   kEngineStop = 27,      ///< a = drained queue depth
   // Model / swap lifecycle (a = version, b = detail).

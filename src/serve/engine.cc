@@ -61,13 +61,8 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const Snapshot> snapshot,
       registry.GetCounter("fkd.serve.requests", {{"result", "expired"}});
   requests_failed_ =
       registry.GetCounter("fkd.serve.requests", {{"result", "failed"}});
-  requests_shed_ =
-      registry.GetCounter("fkd.serve.requests", {{"result", "shed"}});
   requests_unavailable_ =
       registry.GetCounter("fkd.serve.requests", {{"result", "unavailable"}});
-  deadline_exceeded_total_ = registry.GetCounter("fkd.serve.deadline_exceeded");
-  retries_total_ = registry.GetCounter("fkd.serve.retries");
-  breaker_open_total_ = registry.GetCounter("fkd.serve.breaker_open");
   batch_size_ = registry.GetHistogram("fkd.serve.batch_size");
   latency_us_ = registry.GetHistogram("fkd.serve.latency_us");
   queue_us_ = registry.GetHistogram("fkd.serve.queue_us");
@@ -77,8 +72,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const Snapshot> snapshot,
   // the Router owns the unlabelled aggregate identity.
   queue_depth_ =
       registry.GetGauge("fkd.serve.queue_depth", {{"scope", "engine"}});
-  health_ = registry.GetGauge("fkd.serve.health");
-  health_->Set(static_cast<double>(EngineHealth::kHealthy));
 }
 
 InferenceEngine::~InferenceEngine() { Stop(); }
@@ -113,7 +106,6 @@ void InferenceEngine::Stop() {
     if (stopping_) return;
     stopping_ = true;
     depth_at_stop = queue_.size();
-    PublishHealthLocked();
     if (!started_) {
       // Never-started engine: there is no worker to drain the queue, so
       // fail every pending request instead of leaving callers waiting.
@@ -176,20 +168,6 @@ Status InferenceEngine::Submit(ArticleRequest request,
       requests_rejected_->Increment();
       recorder_->Record(FlightEventType::kEngineReject, request_id, 0);
       return Status::Unavailable("engine is stopped");
-    }
-    // Open breaker: shed immediately instead of queueing work that recent
-    // history says will fail. Once the cool-down lapses, move to half-open
-    // and let requests through as the probe.
-    if (breaker_ == BreakerState::kOpen) {
-      if (Clock::now() >= breaker_open_until_) {
-        breaker_ = BreakerState::kHalfOpen;
-        PublishHealthLocked();
-      } else {
-        shed_.fetch_add(1, std::memory_order_relaxed);
-        requests_shed_->Increment();
-        recorder_->Record(FlightEventType::kEngineShed, request_id, 0);
-        return Status::Unavailable("circuit breaker open; shedding load");
-      }
     }
     if (queue_.size() >= options_.max_queue_depth) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -259,9 +237,7 @@ void InferenceEngine::FailExpired(std::vector<Pending>* live,
                                    now - pending.submitted_at)
                                    .count();
       expired_.fetch_add(1, std::memory_order_relaxed);
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
       requests_expired_->Increment();
-      deadline_exceeded_total_->Increment();
       recorder_->Record(FlightEventType::kRequestDeadline,
                         pending.request.request_id,
                         static_cast<uint64_t>(waited_us));
@@ -296,53 +272,23 @@ void InferenceEngine::ProcessBatch(std::vector<Pending> batch) {
     subject_ids.push_back(pending.request.subject_ids);
   }
 
-  // Run the forward, retrying transient failures (site "serve.batch" lets
-  // tests inject them deterministically) with exponential backoff. A fatal
-  // error or exhausted retries fails every request in the batch.
+  // Fail fast: a failed batch (site "serve.batch" lets tests inject one
+  // deterministically) fails each of its requests once with that error.
+  // Retrying is the client's job; steering traffic off a sick replica is
+  // the router's quarantine.
   recorder_->Record(FlightEventType::kBatchStart, live.size(),
                     options_.version_tag);
-  Tensor logits;
-  Clock::time_point forward_start;
-  for (size_t attempt = 0;; ++attempt) {
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    Status batch_status = FaultInjector::Global().Inject("serve.batch");
-    if (batch_status.ok() && !options_.fault_site.empty()) {
-      batch_status = FaultInjector::Global().Inject(options_.fault_site);
-    }
-    if (batch_status.ok()) {
-      forward_start = Clock::now();
-      logits = snapshot_->Score(texts, creator_ids, subject_ids);
-      break;
-    }
-    if (batch_status.IsRetryable() && attempt < options_.max_batch_retries) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      retries_total_->Increment();
-      recorder_->Record(FlightEventType::kBatchRetry, live.size(), attempt + 1);
-      FKD_LOG_EVERY_N(Warning, 16)
-          << "serve batch of " << live.size() << " retrying (attempt "
-          << attempt + 1 << "): " << batch_status.message()
-          << " (rate-limited: 1 in 16 logged)";
-      if (options_.retry_backoff_us > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(
-            options_.retry_backoff_us << attempt));
-      }
-      // Deadlines may have lapsed during the backoff; do not retry those.
-      FailExpired(&live, Clock::now());
-      if (live.empty()) {
-        RecordBatchOutcome(false);
-        return;
-      }
-      continue;
-    }
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  Status batch_status = FaultInjector::Global().Inject("serve.batch");
+  if (batch_status.ok() && !options_.fault_site.empty()) {
+    batch_status = FaultInjector::Global().Inject(options_.fault_site);
+  }
+  if (!batch_status.ok()) {
     FKD_LOG_EVERY_N(Warning, 16)
-        << "serve batch of " << live.size() << " failed after " << attempt
-        << " retries: " << batch_status.message()
-        << " (rate-limited: 1 in 16 logged)";
+        << "serve batch of " << live.size() << " failed: "
+        << batch_status.message() << " (rate-limited: 1 in 16 logged)";
     recorder_->Record(FlightEventType::kBatchFailed, live.size(),
                       options_.version_tag);
-    // Record the outcome BEFORE running the callbacks: a caller that sees
-    // its request fail must also see the breaker's updated state.
-    RecordBatchOutcome(false);
     for (auto& pending : live) {
       failed_.fetch_add(1, std::memory_order_relaxed);
       requests_failed_->Increment();
@@ -352,8 +298,8 @@ void InferenceEngine::ProcessBatch(std::vector<Pending> batch) {
     }
     return;
   }
-  RecordBatchOutcome(true);
-
+  const Clock::time_point forward_start = Clock::now();
+  const Tensor logits = snapshot_->Score(texts, creator_ids, subject_ids);
   const Tensor probabilities = SoftmaxRows(logits);
   const Clock::time_point compute_done = Clock::now();
   const double compute_us = std::chrono::duration<double, std::micro>(
@@ -441,64 +387,9 @@ void InferenceEngine::TraceSlowRequest(const Classification& result) const {
   span("serve/compute", compute_start, done_us - compute_start, 1);
 }
 
-void InferenceEngine::RecordBatchOutcome(bool ok) {
+bool InferenceEngine::draining() const {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (breaker_ == BreakerState::kHalfOpen) {
-    // The probe batch decides: recovery closes the breaker with a clean
-    // window, another failure re-opens it for a fresh cool-down.
-    if (ok) {
-      breaker_ = BreakerState::kClosed;
-      window_.clear();
-      recorder_->Record(FlightEventType::kBreakerClose, 0, 0);
-    } else {
-      breaker_ = BreakerState::kOpen;
-      breaker_open_until_ =
-          Clock::now() + std::chrono::microseconds(options_.breaker_open_us);
-      breaker_trips_.fetch_add(1, std::memory_order_relaxed);
-      breaker_open_total_->Increment();
-      recorder_->Record(FlightEventType::kBreakerOpen, 1, 0);
-    }
-    PublishHealthLocked();
-    return;
-  }
-  if (breaker_ != BreakerState::kClosed) return;
-  window_.push_back(ok);
-  while (window_.size() > options_.breaker_window) window_.pop_front();
-  if (window_.size() < options_.breaker_window) return;
-  size_t failures = 0;
-  for (bool outcome : window_) failures += outcome ? 0 : 1;
-  const float failure_rate =
-      static_cast<float>(failures) / static_cast<float>(window_.size());
-  if (failure_rate >= options_.breaker_failure_threshold) {
-    breaker_ = BreakerState::kOpen;
-    breaker_open_until_ =
-        Clock::now() + std::chrono::microseconds(options_.breaker_open_us);
-    window_.clear();
-    breaker_trips_.fetch_add(1, std::memory_order_relaxed);
-    breaker_open_total_->Increment();
-    recorder_->Record(FlightEventType::kBreakerOpen, failures, 0);
-    FKD_LOG_EVERY_N(Warning, 8)
-        << "serve circuit breaker opened (" << failures << "/"
-        << options_.breaker_window << " recent batches failed); shedding for "
-        << options_.breaker_open_us
-        << " us (rate-limited: 1 in 8 logged)";
-    PublishHealthLocked();
-  }
-}
-
-EngineHealth InferenceEngine::HealthLocked() const {
-  if (stopping_) return EngineHealth::kDraining;
-  if (breaker_ != BreakerState::kClosed) return EngineHealth::kDegraded;
-  return EngineHealth::kHealthy;
-}
-
-void InferenceEngine::PublishHealthLocked() {
-  health_->Set(static_cast<double>(HealthLocked()));
-}
-
-EngineHealth InferenceEngine::Health() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return HealthLocked();
+  return stopping_;
 }
 
 EngineStats InferenceEngine::Stats() const {
@@ -507,13 +398,9 @@ EngineStats InferenceEngine::Stats() const {
   stats.completed = completed_.load(std::memory_order_relaxed);
   stats.rejected = rejected_.load(std::memory_order_relaxed);
   stats.expired = expired_.load(std::memory_order_relaxed);
-  stats.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
   stats.batches = batches_.load(std::memory_order_relaxed);
-  stats.retries = retries_.load(std::memory_order_relaxed);
   stats.failed = failed_.load(std::memory_order_relaxed);
-  stats.shed = shed_.load(std::memory_order_relaxed);
   stats.unavailable = unavailable_.load(std::memory_order_relaxed);
-  stats.breaker_trips = breaker_trips_.load(std::memory_order_relaxed);
   std::unique_lock<std::mutex> lock(mutex_);
   stats.queue_depth = queue_.size();
   return stats;

@@ -63,7 +63,7 @@ struct Classification {
   /// Per-stage latency breakdown, all in microseconds. For an engine-served
   /// request: queue_us (submit -> dequeued by a worker) + batch_us
   /// (dequeue -> forward start: straggler wait bookkeeping, deadline
-  /// checks, retry backoff) + compute_us (batched forward + softmax) plus
+  /// checks) + compute_us (batched forward + softmax) plus
   /// fulfilment overhead add up to total_us - cache_us. A cache hit has
   /// only cache_us ~= total_us and zero engine stages.
   double queue_us = 0.0;
@@ -103,23 +103,11 @@ struct EngineOptions {
   size_t max_queue_depth = 256;
   /// Deadline applied to requests that set none (0 = no deadline).
   int64_t default_deadline_us = 0;
-  /// Transient (Status::IsRetryable) batch failures are retried up to this
-  /// many times before the batch's requests are failed.
-  size_t max_batch_retries = 2;
-  /// Backoff before retry k is `retry_backoff_us << k` (exponential).
-  int64_t retry_backoff_us = 500;
-  /// Circuit breaker: when `breaker_failure_threshold` of the last
-  /// `breaker_window` batches failed, the engine sheds all submissions
-  /// with Unavailable for `breaker_open_us`, then lets one probe batch
-  /// through (half-open) — success closes the breaker, failure re-opens it.
-  size_t breaker_window = 8;
-  float breaker_failure_threshold = 0.5f;
-  int64_t breaker_open_us = 10000;
   /// Stamped into every Classification::model_version this engine fulfils.
   /// A Router sets it to the snapshot version the engine serves, so callers
   /// (and the hot-swap tests) can attribute each response to a version.
   uint64_t version_tag = 0;
-  /// Extra FKD_FAULTS site consulted per batch attempt, *in addition to*
+  /// Extra FKD_FAULTS site consulted per batch, *in addition to*
   /// the shared "serve.batch" site. A Router names each replica's site
   /// ("serve.replicaN.batch") so chaos drills can make exactly one replica
   /// sick — the quarantine path is unreachable otherwise, since shared
@@ -140,41 +128,27 @@ struct EngineOptions {
       completion_hook;
 };
 
-/// Coarse liveness summary exposed by InferenceEngine::Health().
-enum class EngineHealth {
-  kHealthy = 0,   ///< Breaker closed; serving normally.
-  kDegraded = 1,  ///< Breaker open or half-open; shedding or probing.
-  kDraining = 2,  ///< Stop() begun; queued work finishes, no new intake.
-};
-
 /// Monotone counters describing an engine's lifetime so far.
 struct EngineStats {
   uint64_t submitted = 0;  ///< Accepted into the queue.
   uint64_t completed = 0;  ///< Requests served a Classification.
   uint64_t rejected = 0;   ///< Refused at Submit (queue full / stopped).
   uint64_t expired = 0;    ///< Requests failed with DeadlineExceeded.
-  /// Requests failed with DeadlineExceeded, including those that lapsed
-  /// while their batch was in retry backoff (superset of `expired`'s
-  /// batch-formation path; today the two advance together).
-  uint64_t deadline_exceeded = 0;
-  uint64_t batches = 0;  ///< Forward passes run (attempts, incl. retries).
-  uint64_t retries = 0;  ///< Batch attempts repeated after transient failure.
-  uint64_t failed = 0;   ///< Requests failed by an exhausted/fatal batch.
-  uint64_t shed = 0;     ///< Submissions refused by the open breaker.
+  uint64_t batches = 0;    ///< Batches run, failed ones included.
+  uint64_t failed = 0;     ///< Requests failed by a failed batch.
   /// Accepted into the queue but failed with Unavailable because the
   /// engine stopped before a worker could serve them (never-started
   /// engine's orphaned queue). Distinct from `rejected`, which counts
   /// refusals *at* Submit that were never accepted.
   uint64_t unavailable = 0;
-  uint64_t breaker_trips = 0;  ///< Closed/half-open -> open transitions.
-  size_t queue_depth = 0;      ///< Requests currently queued.
+  size_t queue_depth = 0;  ///< Requests currently queued.
 };
 
 /// Every accepted request resolves exactly one way, so for any engine at
 /// rest (no in-flight work):
 ///   submitted == completed + expired + failed + unavailable
 /// and refusals (never accepted, callbacks never run) are disjoint:
-///   refused  == rejected + shed
+///   refused  == rejected
 /// router_test asserts these invariants under hot-swap stress.
 
 /// Multi-threaded micro-batching inference server over a frozen Snapshot.
@@ -195,22 +169,16 @@ struct EngineStats {
 ///  - shutdown: Stop() drains — started workers finish every queued
 ///    request (batch delay waived) before joining; anything still queued
 ///    on a never-started engine fails with Unavailable;
-///  - retries: a batch whose forward fails with a retryable error
-///    (Status::IsRetryable — Unavailable/IoError) is retried with
-///    exponential backoff up to max_batch_retries times; fatal errors and
-///    exhausted retries fail the batch's requests with that error;
-///  - circuit breaker: sustained batch failures trip a per-engine breaker
-///    that sheds new submissions with Unavailable until a cool-down plus
-///    one successful half-open probe batch close it again (graceful
-///    degradation instead of queueing doomed work).
+///  - failures: a batch whose fault site or forward fails resolves each of
+///    its requests once with that error. The engine neither retries nor
+///    sheds; it reports outcomes and counts. NetClient is the one retry
+///    layer, and Router quarantine is the one replica health machine.
 ///
 /// Instrumentation (obs::MetricsRegistry::Default()): fkd.serve.requests
-/// (counter, labelled result=ok|rejected|expired|failed|shed|unavailable),
-/// fkd.serve.deadline_exceeded and fkd.serve.retries and
-/// fkd.serve.breaker_open (counters), fkd.serve.health (gauge: 0 healthy,
-/// 1 degraded, 2 draining), fkd.serve.batch_size, fkd.serve.latency_us,
-/// fkd.serve.queue_us, fkd.serve.batch_form_us and fkd.serve.compute_us
-/// (HDR histograms; read p50/p99/p999 via Histogram::Percentile),
+/// (counter, labelled result=ok|rejected|expired|failed|unavailable),
+/// fkd.serve.batch_size, fkd.serve.latency_us, fkd.serve.queue_us,
+/// fkd.serve.batch_form_us and fkd.serve.compute_us (HDR histograms; read
+/// p50/p99/p999 via Histogram::Percentile), and
 /// fkd.serve.queue_depth{scope=engine} (gauge; the Router publishes the
 /// cross-replica aggregate as plain fkd.serve.queue_depth). Every request
 /// also leaves lifecycle
@@ -238,8 +206,7 @@ class InferenceEngine {
   /// Classification, a DeadlineExceeded error, the failed batch's error,
   /// or an Unavailable error (engine stopped before serving it). Returns
   /// an error Status, and never runs `done`, when the request is invalid
-  /// (bad graph ids), the queue is full, the breaker is open, or the
-  /// engine is stopped.
+  /// (bad graph ids), the queue is full, or the engine is stopped.
   Status Submit(ArticleRequest request, ClassificationCallback done);
 
   /// Future-returning form of the above.
@@ -253,16 +220,14 @@ class InferenceEngine {
   size_t queue_depth() const {
     return depth_.load(std::memory_order_relaxed);
   }
-  /// Current health: Draining once Stop() begins, Degraded while the
-  /// circuit breaker is open or probing, Healthy otherwise.
-  EngineHealth Health() const;
+  /// True once Stop() has begun: the engine takes no new work and is being
+  /// replaced or shut down, not sick.
+  bool draining() const;
   const EngineOptions& options() const { return options_; }
   const Snapshot& snapshot() const { return *snapshot_; }
 
  private:
   using Clock = std::chrono::steady_clock;
-
-  enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
   struct Pending {
     ArticleRequest request;
@@ -275,16 +240,11 @@ class InferenceEngine {
   void WorkerLoop();
   void ProcessBatch(std::vector<Pending> batch);
   /// Fails every request in `live` whose deadline is before `now` and
-  /// removes it; called at batch formation and again before each retry.
+  /// removes it.
   void FailExpired(std::vector<Pending>* live, Clock::time_point now);
-  /// Feeds one batch outcome to the circuit breaker (locks mutex_).
-  void RecordBatchOutcome(bool ok);
   /// Emits the per-stage chrome-trace spans for one served request (only
   /// called when tracing is runtime-enabled and total_us >= threshold).
   void TraceSlowRequest(const Classification& result) const;
-  /// Health under mutex_ (for use inside locked sections).
-  EngineHealth HealthLocked() const;
-  void PublishHealthLocked();
 
   std::shared_ptr<const Snapshot> snapshot_;
   EngineOptions options_;
@@ -298,23 +258,13 @@ class InferenceEngine {
   bool started_ = false;
   bool stopping_ = false;
 
-  // Circuit breaker, guarded by mutex_. `window_` holds the most recent
-  // batch outcomes (true = success) while the breaker is closed.
-  BreakerState breaker_ = BreakerState::kClosed;
-  std::deque<bool> window_;
-  Clock::time_point breaker_open_until_{};
-
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> expired_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
   std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> shed_{0};
   std::atomic<uint64_t> unavailable_{0};
-  std::atomic<uint64_t> breaker_trips_{0};
 
   /// Resolved slow-trace threshold (options_.slow_trace_us or env).
   int64_t slow_trace_us_ = 0;
@@ -327,18 +277,13 @@ class InferenceEngine {
   obs::Counter* requests_rejected_;
   obs::Counter* requests_expired_;
   obs::Counter* requests_failed_;
-  obs::Counter* requests_shed_;
   obs::Counter* requests_unavailable_;
-  obs::Counter* deadline_exceeded_total_;
-  obs::Counter* retries_total_;
-  obs::Counter* breaker_open_total_;
   obs::Histogram* batch_size_;
   obs::Histogram* latency_us_;
   obs::Histogram* queue_us_;
   obs::Histogram* batch_form_us_;
   obs::Histogram* compute_us_;
   obs::Gauge* queue_depth_;
-  obs::Gauge* health_;
 };
 
 }  // namespace serve

@@ -20,6 +20,15 @@ namespace {
 /// some replicas instead of sampling uniformly across them.
 constexpr uint64_t kCanarySalt = 0xca4a12ull;
 
+/// A replica whose failures reach this share of its resolutions over one
+/// monitor interval is quarantined.
+constexpr double kQuarantineFailureRatio = 0.5;
+/// Deadline budget and text of a quarantine probe. The content is
+/// irrelevant: the probe only proves the replica can complete a forward
+/// pass again.
+constexpr int64_t kProbeDeadlineUs = 250000;
+constexpr const char* kProbeText = "router replica health probe";
+
 using obs::FlightEventType;
 
 }  // namespace
@@ -142,13 +151,9 @@ Status Router::Start(std::shared_ptr<const ServingModel> initial) {
     started_ = true;
     active_version_gauge_->Set(static_cast<double>(primary_->model->version));
   }
-  if (options_.quarantine.enabled) {
-    monitor_ = std::thread([this] { MonitorMain(); });
-  }
+  monitor_ = std::thread([this] { MonitorMain(); });
   FKD_LOG(Info) << "router started: " << options_.num_replicas
-                << " replicas on version " << active_version()
-                << (options_.quarantine.enabled ? " (quarantine monitor on)"
-                                                : "");
+                << " replicas on version " << active_version();
   return Status::OK();
 }
 
@@ -247,7 +252,7 @@ Status Router::Submit(ArticleRequest request, ClassificationCallback done) {
   if (status.ok()) {
     // Count outcomes only after the engine accepted, so
     // submitted == cache_hits + primary_requests + canary_requests holds
-    // even when a replica rejects (queue full / breaker open).
+    // even when a replica rejects (queue full / stopped).
     submitted_.fetch_add(1, std::memory_order_relaxed);
     if (is_canary) {
       canary_requests_.fetch_add(1, std::memory_order_relaxed);
@@ -453,8 +458,7 @@ void Router::MonitorGeneration(
     InferenceEngine* engine = generation->engines[r].get();
     ReplicaHealth& health = (*history)[engine];
     const EngineStats now = engine->Stats();
-    const EngineHealth liveness = engine->Health();
-    if (liveness == EngineHealth::kDraining) {
+    if (engine->draining()) {
       health.prev = now;
       health.seeded = true;
       continue;  // a draining engine is being replaced, not sick
@@ -470,17 +474,12 @@ void Router::MonitorGeneration(
       // for failures that predate the monitor.
       if (health.seeded) {
         const uint64_t failures = (now.failed - health.prev.failed) +
-                                  (now.deadline_exceeded -
-                                   health.prev.deadline_exceeded) +
-                                  (now.shed - health.prev.shed);
+                                  (now.expired - health.prev.expired);
         const uint64_t total =
             (now.completed - health.prev.completed) + failures;
-        const bool ratio_sick =
-            total >= options_.quarantine.min_samples &&
+        if (total >= options_.quarantine.min_samples &&
             static_cast<double>(failures) >=
-                options_.quarantine.failure_threshold *
-                    static_cast<double>(total);
-        if (liveness == EngineHealth::kDegraded || ratio_sick) {
+                kQuarantineFailureRatio * static_cast<double>(total)) {
           {
             std::lock_guard<std::mutex> lock(mutex_);
             generation->quarantined[r] = 1;
@@ -494,19 +493,15 @@ void Router::MonitorGeneration(
           FKD_LOG(Warning) << "router: quarantined replica " << r
                            << " of version " << generation->model->version
                            << " (" << failures << "/" << total
-                           << " failures last interval, breaker "
-                           << (liveness == EngineHealth::kDegraded
-                                   ? "degraded"
-                                   : "closed")
-                           << ")";
+                           << " failures last interval)";
         }
       }
     } else {
       // Probe the quarantined replica directly (bypassing placement and
       // the router counters); consecutive successes reinstate it.
       ArticleRequest probe;
-      probe.text = options_.quarantine.probe_text;
-      probe.deadline_us = options_.quarantine.probe_deadline_us;
+      probe.text = kProbeText;
+      probe.deadline_us = kProbeDeadlineUs;
       probes_.fetch_add(1, std::memory_order_relaxed);
       probe_total_->Increment();
       bool success = false;

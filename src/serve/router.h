@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -22,24 +21,17 @@
 namespace fkd {
 namespace serve {
 
-/// Replica quarantine + self-healing knobs (see Router class comment).
+/// Knobs of the replica health machine, the one place a sick replica is
+/// detected and kept out of rotation (see Router class comment). The
+/// failure ratio that quarantines, the probe text and the probe deadline
+/// are fixed in router.cc.
 struct QuarantineOptions {
-  /// Master switch for the health monitor thread.
-  bool enabled = true;
   /// Health-evaluation and probe cadence.
   int64_t interval_ms = 200;
-  /// A replica whose failure ratio over one interval reaches this (with at
-  /// least `min_samples` resolutions) is quarantined. Breaker-degraded
-  /// replicas are quarantined regardless of the ratio.
-  double failure_threshold = 0.5;
+  /// Fewest resolutions in one interval that a replica is scored on.
   uint64_t min_samples = 8;
   /// Consecutive successful probes required to reinstate a replica.
   int probe_successes = 2;
-  /// Deadline budget given to each probe request.
-  int64_t probe_deadline_us = 250000;
-  /// Article text scored by probe requests (content is irrelevant; the
-  /// probe only proves the replica can complete a forward pass again).
-  std::string probe_text = "router replica health probe";
 };
 
 /// Tuning knobs of the serving router.
@@ -64,7 +56,7 @@ struct RouterOptions {
   /// per request key. Defaults from FKD_CANARY_PCT (a percentage, e.g.
   /// "5" or "2.5"); invalid or unset values mean 0.
   uint32_t canary_permille = CanaryPermilleFromEnvironment();
-  /// Replica quarantine + self-healing (enabled by default).
+  /// Replica quarantine + self-healing (always on).
   QuarantineOptions quarantine;
 
   /// Parses FKD_CANARY_PCT into permille; out-of-range/garbage values are
@@ -121,19 +113,20 @@ struct RouterStats {
 ///    `canary_permille` slice of request keys (FKD_CANARY_PCT) to replicas
 ///    on the canary version; PromoteCanary() makes it the primary via the
 ///    same drain-free swap, StopCanary() abandons it.
-///  - **Quarantine + self-healing** — a monitor thread scores every
-///    replica each interval on its breaker state and its windowed
-///    failure + deadline-miss ratio. A sick replica is quarantined:
-///    placement walks its hash range forward to the next healthy peer
-///    (all-quarantined degrades to the original placement — still serving
-///    beats refusing). While quarantined, the replica receives periodic
-///    probe requests instead of traffic; `probe_successes` consecutive
-///    successes reinstate it and its hash range snaps back. Probes go
-///    straight to the engine, so router accounting (`submitted ==
-///    cache_hits + primary_requests + canary_requests`) is unaffected.
-///    State machine per replica:
-///      healthy --(breaker degraded | failure ratio >= threshold)-->
-///      quarantined --(N consecutive probe oks)--> healthy
+///  - **Quarantine + self-healing** — the one replica health machine.
+///    Engines fail fast and only count outcomes; a monitor thread scores
+///    every replica each interval on `failed + expired` against
+///    `completed + failed + expired` over that interval. A sick replica is
+///    quarantined: placement walks its hash range forward to the next
+///    healthy peer (all-quarantined degrades to the original placement —
+///    still serving beats refusing). While quarantined, the replica
+///    receives periodic probe requests instead of traffic;
+///    `probe_successes` consecutive successes reinstate it and its hash
+///    range snaps back. Probes go straight to the engine, so router
+///    accounting (`submitted == cache_hits + primary_requests +
+///    canary_requests`) is unaffected. State machine per replica:
+///      healthy --(failure ratio >= 1/2 over >= min_samples)-->
+///      quarantined --(probe_successes consecutive probe oks)--> healthy
 ///
 /// Instrumentation (obs::MetricsRegistry::Default()): fkd.serve.cache_hit,
 /// fkd.serve.cache_miss, fkd.serve.canary and fkd.serve.swap counters, the
@@ -237,7 +230,7 @@ class Router {
   static void DrainGeneration(const std::shared_ptr<Generation>& generation);
 
   /// Health monitor thread: quarantine scoring + probing (see class
-  /// comment). Runs only when options_.quarantine.enabled.
+  /// comment).
   void MonitorMain();
   /// One monitor pass over `generation`; `history` is the monitor-local
   /// per-engine bookkeeping (previous stats snapshot, probe streak).

@@ -1658,6 +1658,34 @@ TEST(NetChaosTest, ExpiredDeadlineIsShedAtAdmissionNeverScored) {
   EXPECT_TRUE(ok_decoded.value().ok);
 }
 
+TEST(NetChaosTest, FailedBatchIsRetriedOnlyByTheClient) {
+  // One retry layer: the client, which owns the deadline. The engine fails
+  // a batch fast, so each client attempt runs exactly one batch and the
+  // attempts never multiply. Four failures stay under the quarantine
+  // monitor's default min_samples, so no probe adds batches.
+  FaultGuard guard;
+  auto harness = StartHarness();
+  ASSERT_TRUE(FaultInjector::Global().Configure("serve.batch:fail").ok());
+  NetClientOptions options = FastClientOptions(harness->server->bound_port());
+  options.retry.max_attempts = 4;
+  NetClient client(options);
+  ASSERT_TRUE(client.Start().ok());
+  ClassifyRequestMsg msg;
+  msg.text = SampleText(0);
+  auto result = client.Classify(msg);
+  client.Stop();
+
+  EXPECT_EQ(FaultInjector::Global().HitCount("serve.batch"), 4u)
+      << "one batch per client attempt";
+  const NetClientStats stats = client.Stats();
+  EXPECT_EQ(stats.retries, 3u);
+  EXPECT_EQ(stats.transport_errors, 1u);
+  // Once the policy refuses a fifth attempt, the last failed batch's
+  // IoError becomes the request's terminal status.
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace fkd

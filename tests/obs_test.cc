@@ -284,7 +284,7 @@ TEST(FlightRecorderTest, DumpToFileIsReadable) {
   FlightRecorder& recorder = FlightRecorder::Get();
   recorder.Clear();
   recorder.Record(FlightEventType::kRequestSubmit, 42, 0);
-  recorder.Record(FlightEventType::kBreakerOpen, 3, 0);
+  recorder.Record(FlightEventType::kReplicaQuarantine, 1, 750);
 
   const std::string path = "obs_test_flight_dump.txt";
   ASSERT_TRUE(recorder.DumpToFile(path));
@@ -295,7 +295,7 @@ TEST(FlightRecorderTest, DumpToFileIsReadable) {
   const std::string text = contents.str();
   EXPECT_NE(text.find("fkd flight recorder"), std::string::npos);
   EXPECT_NE(text.find("request_submit"), std::string::npos);
-  EXPECT_NE(text.find("breaker_open"), std::string::npos);
+  EXPECT_NE(text.find("replica_quarantine"), std::string::npos);
   EXPECT_NE(text.find("a=42"), std::string::npos);
   EXPECT_NE(text.find("end of dump"), std::string::npos);
   std::remove(path.c_str());

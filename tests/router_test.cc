@@ -870,8 +870,8 @@ TEST(QuarantineTest, SickReplicaIsQuarantinedAndReinstated) {
       FaultInjector::Global().Configure("serve.replica0.batch:fail").ok());
 
   // Drive engine-bound traffic until the monitor quarantines replica 0.
-  // Requests on the sick replica fail (retries exhausted -> IoError);
-  // that is the signal being scored, not a test failure.
+  // Requests on the sick replica fail fast with IoError; that is the
+  // signal being scored, not a test failure.
   std::atomic<bool> stop{false};
   std::thread driver([&] {
     size_t i = 0;
@@ -944,7 +944,7 @@ TEST(QuarantineTest, AllQuarantinedFallsBackToOriginalPlacement) {
   ASSERT_TRUE(model.ok());
 
   // Every replica sick: the shared serve.batch site fails everything, so
-  // both replicas degrade. Submission must still be attempted (serving
+  // both replicas quarantine. Submission must still be attempted (serving
   // beats refusing), not crash or spin.
   Router router(QuarantineRouterOptions());
   ASSERT_TRUE(router.Start(model.value()).ok());

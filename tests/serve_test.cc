@@ -349,6 +349,30 @@ TEST(ServeEngineTest, LapsedDeadlineFailsFutureInsteadOfServing) {
   EXPECT_EQ(engine.Stats().completed, 0u);
 }
 
+// A lapsed deadline is counted once: EngineStats::expired and the
+// fkd.serve.requests{result=expired} metric each advance by one.
+TEST(ServeEngineTest, DeadlineExceededCounterAndMetricAdvance) {
+  const auto& fixture = SharedFixture();
+  obs::Counter* metric = obs::MetricsRegistry::Default().GetCounter(
+      "fkd.serve.requests", {{"result", "expired"}});
+  const double before = metric->Value();
+
+  InferenceEngine engine(fixture.snapshot);
+  ArticleRequest request;
+  request.text = "deadline victim";
+  request.deadline_us = 1000;
+  auto submitted = engine.Submit(std::move(request));
+  ASSERT_TRUE(submitted.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE(engine.Start().ok());
+  auto result = submitted.value().get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  engine.Stop();
+  EXPECT_EQ(engine.Stats().expired, 1u);
+  EXPECT_EQ(metric->Value(), before + 1);
+}
+
 TEST(ServeEngineTest, StopDrainsQueuedRequests) {
   const auto& fixture = SharedFixture();
   EngineOptions options;
@@ -448,44 +472,16 @@ EngineOptions DeterministicOptions() {
   EngineOptions options;
   options.num_workers = 1;
   options.max_batch_delay_us = 0;  // no straggler wait: one submit, one batch
-  options.retry_backoff_us = 1;
   return options;
 }
 
-TEST(ServeEngineTest, RetriesTransientBatchFailuresUntilSuccess) {
-  const auto& fixture = SharedFixture();
-  obs::Counter* retries_metric =
-      obs::MetricsRegistry::Default().GetCounter("fkd.serve.retries");
-  const double retries_before = retries_metric->Value();
-
-  EngineOptions options = DeterministicOptions();
-  options.max_batch_retries = 2;
-  InferenceEngine engine(fixture.snapshot, options);
-  // First two forward attempts fail transiently; the third succeeds.
-  ScopedFaults faults("serve.batch:fail*2");
-  ASSERT_TRUE(engine.Start().ok());
-  auto future = engine.Submit(ArticleRequest{SampleTexts(1)[0], -1, {}, 0});
-  ASSERT_TRUE(future.ok());
-  auto result = future.value().get();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  engine.Stop();
-
-  const EngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(stats.retries, 2u);
-  EXPECT_EQ(stats.batches, 3u);  // 1 batch, 3 attempts
-  EXPECT_EQ(retries_metric->Value(), retries_before + 2);
-}
-
-TEST(ServeEngineTest, ExhaustedRetriesFailEveryFutureInTheBatch) {
+TEST(ServeEngineTest, FailedBatchFailsEveryRequestInItOnce) {
   const auto& fixture = SharedFixture();
   EngineOptions options = DeterministicOptions();
-  options.max_batch_retries = 1;
   options.max_batch_size = 4;
   InferenceEngine engine(fixture.snapshot, options);
   // Queue two requests before starting so they ride in one batch, and fail
-  // every attempt: retries must give up after max_batch_retries.
+  // every batch: the engine fails both at once instead of retrying.
   std::vector<ClassificationFuture> futures;
   for (const auto& text : SampleTexts(2)) {
     auto submitted = engine.Submit(ArticleRequest{text, -1, {}, 0});
@@ -503,15 +499,14 @@ TEST(ServeEngineTest, ExhaustedRetriesFailEveryFutureInTheBatch) {
   const EngineStats stats = engine.Stats();
   EXPECT_EQ(stats.completed, 0u);
   EXPECT_EQ(stats.failed, 2u);
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.expired + stats.failed + stats.unavailable);
 }
 
 TEST(ServeEngineTest, FatalBatchFailureIsNotRetried) {
   const auto& fixture = SharedFixture();
-  EngineOptions options = DeterministicOptions();
-  options.max_batch_retries = 5;
-  InferenceEngine engine(fixture.snapshot, options);
+  InferenceEngine engine(fixture.snapshot, DeterministicOptions());
   ScopedFaults faults("serve.batch:fatal*1");
   ASSERT_TRUE(engine.Start().ok());
   auto doomed = engine.Submit(ArticleRequest{SampleTexts(1)[0], -1, {}, 0});
@@ -519,7 +514,6 @@ TEST(ServeEngineTest, FatalBatchFailureIsNotRetried) {
   auto result = doomed.value().get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-  EXPECT_EQ(engine.Stats().retries, 0u) << "Internal is not retryable";
 
   // The engine keeps serving once the fault passes.
   auto healthy = engine.Submit(ArticleRequest{SampleTexts(1)[0], -1, {}, 0});
@@ -528,98 +522,17 @@ TEST(ServeEngineTest, FatalBatchFailureIsNotRetried) {
   engine.Stop();
   EXPECT_EQ(engine.Stats().failed, 1u);
   EXPECT_EQ(engine.Stats().completed, 1u);
-}
-
-TEST(ServeEngineTest, CircuitBreakerShedsThenRecovers) {
-  const auto& fixture = SharedFixture();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  obs::Counter* breaker_metric = registry.GetCounter("fkd.serve.breaker_open");
-  obs::Gauge* health_gauge = registry.GetGauge("fkd.serve.health");
-  const double trips_before = breaker_metric->Value();
-
-  EngineOptions options = DeterministicOptions();
-  options.max_batch_retries = 0;
-  options.breaker_window = 2;
-  options.breaker_failure_threshold = 0.5f;
-  options.breaker_open_us = 100000;  // 100 ms: ample margin for the shed check
-  InferenceEngine engine(fixture.snapshot, options);
-  ScopedFaults faults("serve.batch:fail*2");
-  ASSERT_TRUE(engine.Start().ok());
-  EXPECT_EQ(engine.Health(), EngineHealth::kHealthy);
-
-  // Two sequential failed batches fill the window and trip the breaker.
-  // Outcomes are recorded before futures are fulfilled, so once get()
-  // returns the breaker state is settled.
-  for (int i = 0; i < 2; ++i) {
-    auto future = engine.Submit(ArticleRequest{SampleTexts(1)[0], -1, {}, 0});
-    ASSERT_TRUE(future.ok()) << "submit " << i;
-    EXPECT_FALSE(future.value().get().ok());
-  }
-  EXPECT_EQ(engine.Health(), EngineHealth::kDegraded);
-  EXPECT_EQ(health_gauge->Value(),
-            static_cast<double>(EngineHealth::kDegraded));
-  EXPECT_EQ(breaker_metric->Value(), trips_before + 1);
-
-  // Open breaker sheds immediately with Unavailable.
-  auto shed = engine.Submit(ArticleRequest{SampleTexts(1)[0], -1, {}, 0});
-  ASSERT_FALSE(shed.ok());
-  EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(engine.Stats().shed, 1u);
-
-  // After the cool-down, one half-open probe succeeds (the fault budget is
-  // spent) and closes the breaker again.
-  std::this_thread::sleep_for(std::chrono::microseconds(
-      2 * options.breaker_open_us));
-  auto probe = engine.Submit(ArticleRequest{SampleTexts(1)[0], -1, {}, 0});
-  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
-  EXPECT_TRUE(probe.value().get().ok());
-  EXPECT_EQ(engine.Health(), EngineHealth::kHealthy);
-  EXPECT_EQ(health_gauge->Value(),
-            static_cast<double>(EngineHealth::kHealthy));
-
-  engine.Stop();
-  const EngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.failed, 2u);
-  EXPECT_EQ(stats.shed, 1u);
-  EXPECT_EQ(stats.breaker_trips, 1u);
-  EXPECT_EQ(stats.completed, 1u);
-}
-
-TEST(ServeEngineTest, DeadlineExceededCounterAndMetricAdvance) {
-  const auto& fixture = SharedFixture();
-  obs::Counter* metric =
-      obs::MetricsRegistry::Default().GetCounter("fkd.serve.deadline_exceeded");
-  const double before = metric->Value();
-
-  InferenceEngine engine(fixture.snapshot);
-  ArticleRequest request;
-  request.text = "deadline victim";
-  request.deadline_us = 1000;
-  auto submitted = engine.Submit(std::move(request));
-  ASSERT_TRUE(submitted.ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ASSERT_TRUE(engine.Start().ok());
-  auto result = submitted.value().get();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  engine.Stop();
-  EXPECT_EQ(engine.Stats().deadline_exceeded, 1u);
-  EXPECT_EQ(engine.Stats().expired, 1u);
-  EXPECT_EQ(metric->Value(), before + 1);
+  EXPECT_EQ(engine.Stats().batches, 2u) << "one batch per request";
 }
 
 TEST(ServeEngineTest, HealthReportsDrainingOnceStopped) {
   const auto& fixture = SharedFixture();
-  obs::Gauge* health_gauge =
-      obs::MetricsRegistry::Default().GetGauge("fkd.serve.health");
   InferenceEngine engine(fixture.snapshot);
-  EXPECT_EQ(engine.Health(), EngineHealth::kHealthy);
+  EXPECT_FALSE(engine.draining());
   ASSERT_TRUE(engine.Start().ok());
-  EXPECT_EQ(engine.Health(), EngineHealth::kHealthy);
+  EXPECT_FALSE(engine.draining());
   engine.Stop();
-  EXPECT_EQ(engine.Health(), EngineHealth::kDraining);
-  EXPECT_EQ(health_gauge->Value(),
-            static_cast<double>(EngineHealth::kDraining));
+  EXPECT_TRUE(engine.draining());
 }
 
 // ---- completion callbacks -------------------------------------------------------
@@ -674,10 +587,9 @@ TEST(ServeCallbackTest, RunsOnceWhenTheDeadlineExpires) {
   EXPECT_EQ(engine.Stats().expired, 1u);
 }
 
-TEST(ServeCallbackTest, RunsOnceWhenTheBatchFailsAfterRetries) {
+TEST(ServeCallbackTest, RunsOnceWhenTheBatchFails) {
   const auto& fixture = SharedFixture();
   EngineOptions options = DeterministicOptions();
-  options.max_batch_retries = 1;
   options.max_batch_size = 4;
   InferenceEngine engine(fixture.snapshot, options);
   testing::CallbackProbe probes[2];
@@ -698,7 +610,6 @@ TEST(ServeCallbackTest, RunsOnceWhenTheBatchFailsAfterRetries) {
   engine.Stop();
   for (const auto& probe : probes) EXPECT_EQ(probe.calls(), 1);
   EXPECT_EQ(engine.Stats().failed, 2u);
-  EXPECT_EQ(engine.Stats().retries, 1u);
 }
 
 TEST(ServeCallbackTest, RunsOnceOnTheStopCallerWhenStoppedWithWorkQueued) {

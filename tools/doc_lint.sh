@@ -1,9 +1,15 @@
 #!/usr/bin/env bash
-# Doc lint: every BENCH_* / bench_output* artifact that README.md,
-# DESIGN.md or EXPERIMENTS.md cites must exist in the source tree and,
-# inside a git checkout, be tracked by git. An ignored or never-added file
-# exists only on the machine that produced it, so the citation would point
-# nowhere in every clone.
+# Doc lint over README.md, DESIGN.md and EXPERIMENTS.md:
+#
+#  - every BENCH_* / bench_output* artifact they cite must exist in the
+#    source tree and, inside a git checkout, be tracked by git. An ignored
+#    or never-added file exists only on the machine that produced it, so
+#    the citation would point nowhere in every clone;
+#  - every src/, tools/, tests/, bench/ or examples/ path they cite must
+#    resolve: to a file or directory, to a stem with a .h/.cc/.cpp/.sh file
+#    (the docs name modules and binaries by stem), or, for a * glob, to at
+#    least one file. A path behind build/ names a binary, which resolves
+#    through its source. One {a,b} group is expanded and each member checked.
 #
 #   tools/doc_lint.sh [source-dir]   (default: the repo root)
 
@@ -18,8 +24,10 @@ if top="$(git rev-parse --show-toplevel 2>/dev/null)" &&
   check_tracked=true
 fi
 
+DOCS=(README.md DESIGN.md EXPERIMENTS.md)
 failures=0
-for doc in README.md DESIGN.md EXPERIMENTS.md; do
+
+for doc in "${DOCS[@]}"; do
   while IFS=: read -r line artifact; do
     if [[ ! -f "${artifact}" ]]; then
       echo "${doc}:${line}: cites ${artifact}, which is not in the source tree"
@@ -34,8 +42,50 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
       "${doc}" || true)
 done
 
+# True when one cited source path (no braces) resolves.
+resolves() {
+  local path="$1" ext
+  if [[ "${path}" == *'*'* ]]; then
+    compgen -G "${path}" >/dev/null
+    return
+  fi
+  [[ -e "${path}" ]] && return 0
+  for ext in h cc cpp sh; do
+    [[ -f "${path}.${ext}" ]] && return 0
+  done
+  return 1
+}
+
+for doc in "${DOCS[@]}"; do
+  while IFS=: read -r line cited; do
+    # Drop the character before the path, a ./ and a build tree prefix,
+    # then sentence punctuation after it.
+    path="${cited}"
+    [[ "${path}" =~ ^[^A-Za-z0-9_./-](.*)$ ]] && path="${BASH_REMATCH[1]}"
+    path="${path#./}"
+    [[ "${path}" =~ ^build[A-Za-z0-9_-]*/(.*)$ ]] && path="${BASH_REMATCH[1]}"
+    path="${path%%[.,:]}"
+    members=("${path}")
+    if [[ "${path}" =~ ^([^{]*)\{([^}]*)\}(.*)$ ]]; then
+      IFS=, read -ra alternatives <<< "${BASH_REMATCH[2]}"
+      members=()
+      for alternative in "${alternatives[@]}"; do
+        members+=("${BASH_REMATCH[1]}${alternative}${BASH_REMATCH[3]}")
+      done
+    fi
+    for member in "${members[@]}"; do
+      if ! resolves "${member}"; then
+        echo "${doc}:${line}: cites ${member}, which does not resolve to a source path"
+        failures=$((failures + 1))
+      fi
+    done
+  done < <(grep -noE \
+      '(^|[^A-Za-z0-9_./-])(\./)?(build[A-Za-z0-9_-]*/)?(src|tools|tests|bench|examples)/[A-Za-z0-9_./*{},+-]*' \
+      "${doc}" || true)
+done
+
 if (( failures > 0 )); then
-  echo "doc lint: ${failures} citation(s) of missing artifacts"
+  echo "doc lint: ${failures} broken citation(s)"
   exit 1
 fi
 echo "doc lint: OK"

@@ -2,9 +2,9 @@
 //
 // Tails the file written by obs::StatsExporter (FKD_STATS_INTERVAL_MS /
 // FKD_STATS_PATH), parses the newest "fkd_stats" line, and renders QPS,
-// windowed latency percentiles, cache hit ratio, queue depth and breaker
-// health — a `top` for the serving stack, no dependencies beyond the feed
-// file itself.
+// windowed latency percentiles, cache hit ratio, queue depth and replica
+// quarantine — a `top` for the serving stack, no dependencies beyond the
+// feed file itself.
 //
 //   fkd_obstop [--once] [--interval-ms N] [path]
 //
@@ -54,17 +54,16 @@ std::string ExtractObject(const std::string& text, const std::string& key) {
   return BalancedObject(text, at + needle.size() - 1);
 }
 
-/// The numeric value of `"key":<number>` inside `text`; `fallback` if absent.
-double ExtractNumber(const std::string& text, const std::string& key,
-                     double fallback = 0.0) {
+/// The numeric value of `"key":<number>` inside `text`; 0 if absent.
+double ExtractNumber(const std::string& text, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
   const size_t at = text.find(needle);
-  if (at == std::string::npos) return fallback;
+  if (at == std::string::npos) return 0.0;
   const size_t start = at + needle.size();
   if (start >= text.size() ||
       (!std::isdigit(static_cast<unsigned char>(text[start])) &&
        text[start] != '-')) {
-    return fallback;
+    return 0.0;
   }
   return std::strtod(text.c_str() + start, nullptr);
 }
@@ -132,15 +131,12 @@ void RenderFrame(const std::string& path, const std::string& line) {
   std::printf("  %-12s total=%-10.1f engine=%-10.1f cache=%-10.1f\n", "qps",
               engine_qps + cache_qps, engine_qps, cache_qps);
   const double errors = SumRequestField(
-      counters, "rate", {"rejected", "expired", "failed", "shed",
-                         "unavailable"});
+      counters, "rate", {"rejected", "expired", "failed", "unavailable"});
   std::printf(
-      "  %-12s total=%-10.2f rejected=%-6.1f expired=%-6.1f failed=%-6.1f "
-      "shed=%-6.1f\n",
+      "  %-12s total=%-10.2f rejected=%-6.1f expired=%-6.1f failed=%-6.1f\n",
       "errors/s", errors, SumRequestField(counters, "rate", {"rejected"}),
       SumRequestField(counters, "rate", {"expired"}),
-      SumRequestField(counters, "rate", {"failed"}),
-      SumRequestField(counters, "rate", {"shed"}));
+      SumRequestField(counters, "rate", {"failed"}));
 
   PrintHistogramRow("latency_us", histograms, "fkd.serve.latency_us{}");
   PrintHistogramRow("queue_us", histograms, "fkd.serve.queue_us{}");
@@ -156,16 +152,17 @@ void RenderFrame(const std::string& path, const std::string& line) {
   std::printf("  %-12s ratio=%-6.2f hits=%-10.0f misses=%-10.0f\n", "cache",
               lookups > 0 ? hits / lookups : 0.0, hits, misses);
 
-  const std::string breaker_object =
-      ExtractObject(counters, "fkd.serve.breaker_open{}");
+  std::printf("  %-12s depth=%-6.0f version=%-6.0f\n", "engine",
+              ExtractNumber(gauges, "fkd.serve.queue_depth{}"),
+              ExtractNumber(gauges, "fkd.serve.active_version{}"));
+  // The router's quarantine is the one replica health machine.
   std::printf(
-      "  %-12s depth=%-6.0f health=%-4.0f version=%-6.0f "
-      "breaker_opens=%.0f\n",
-      "engine",
-      ExtractNumber(gauges, "fkd.serve.queue_depth{}"),
-      ExtractNumber(gauges, "fkd.serve.health{}", 1.0),
-      ExtractNumber(gauges, "fkd.serve.active_version{}"),
-      ExtractNumber(breaker_object, "total"));
+      "  %-12s quarantined=%-4.0f quarantines=%-6.0f reinstated=%-6.0f "
+      "probes=%.0f\n",
+      "replicas", ExtractNumber(gauges, "fkd.serve.quarantined{}"),
+      ExtractNumber(ExtractObject(counters, "fkd.serve.quarantine{}"), "total"),
+      ExtractNumber(ExtractObject(counters, "fkd.serve.reinstate{}"), "total"),
+      ExtractNumber(ExtractObject(counters, "fkd.serve.probe{}"), "total"));
 
   // Network front end (present only when fkd_server is running).
   const std::string conns_object =
