@@ -1,8 +1,8 @@
 // Microbenchmarks of the FKDN/1 wire codec: frame encode (header + double
 // CRC-32C), streaming decode through FrameDecoder in socket-sized chunks,
 // and the classify request/response message codecs. These bound the
-// per-request protocol overhead of the network front end — the gap between
-// fkd_loadgen's wire numbers and bench_serve_router's in-process numbers.
+// per-request protocol overhead of the network front end; the serving
+// benchmark (perfbench/) reports the same cost per request as net.codec_ns.
 
 #include <benchmark/benchmark.h>
 

@@ -9,7 +9,8 @@
 //   ./serve_pipeline [--articles=200] [--requests=60] [--workers=2]
 //                    [--trace=trace.json]
 //
-// The same moves over the wire are tools/fkd_server + tools/fkd_loadgen.
+// Over the wire, the same moves are tools/fkd_server's swap and canary
+// frames; perfbench/ (workload swap_mixed) measures swaps under load.
 // FKD_CANARY_PCT=<percent> sets the default canary traffic share.
 // With --trace and a tracing build, FKD_SLOW_TRACE_US=<n> controls which
 // requests leave queue/batch/compute spans (0 traces every request).

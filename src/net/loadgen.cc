@@ -7,7 +7,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -188,27 +187,14 @@ void Worker(const LoadGenOptions& options, size_t index, SharedState* shared) {
     return;
   }
 
-  // Closed-loop window accounting: callbacks (on the client's I/O thread)
-  // release slots; this thread acquires them.
+  // Window accounting: callbacks (on the client's I/O thread) release
+  // slots; this thread acquires them.
   std::mutex mutex;
   std::condition_variable cv;
   size_t outstanding = 0;
 
   uint64_t next_seq = 1;
   size_t corpus_index = index % options.corpus.size();
-
-  const bool open_loop = options.open_loop_qps > 0.0;
-  const double conn_qps =
-      open_loop ? options.open_loop_qps / static_cast<double>(
-                                              options.connections)
-                : 0.0;
-  const int64_t send_interval_us =
-      open_loop ? static_cast<int64_t>(1e6 / conn_qps) : 0;
-  // Stagger open-loop schedules so N connections don't fire in lockstep.
-  int64_t next_send_us =
-      NowUs() + (open_loop ? static_cast<int64_t>(index) * send_interval_us /
-                                 static_cast<int64_t>(options.connections)
-                           : 0);
 
   const int64_t send_end_us = shared->window_end_us;
   const int64_t drain_end_us = send_end_us + options.drain_timeout_ms * 1000;
@@ -273,19 +259,7 @@ void Worker(const LoadGenOptions& options, size_t index, SharedState* shared) {
     });
   };
 
-  if (open_loop) {
-    while (true) {
-      const int64_t now = NowUs();
-      if (now >= send_end_us) break;
-      if (now >= next_send_us) {
-        send_one();
-        next_send_us += send_interval_us;
-        continue;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          std::min<int64_t>(next_send_us - now, 100'000)));
-    }
-  } else {
+  {
     std::unique_lock<std::mutex> lock(mutex);
     while (NowUs() < send_end_us) {
       if (outstanding >= options.window) {
@@ -297,12 +271,10 @@ void Worker(const LoadGenOptions& options, size_t index, SharedState* shared) {
       send_one();
       lock.lock();
     }
-  }
 
-  // Drain: per-request timeouts guarantee progress, so everything resolves
-  // by send_end + request_timeout; the drain budget just caps our patience.
-  {
-    std::unique_lock<std::mutex> lock(mutex);
+    // Drain: per-request timeouts guarantee progress, so everything
+    // resolves by send_end + request_timeout; the drain budget just caps
+    // our patience.
     while (outstanding > 0 && NowUs() < drain_end_us) {
       cv.wait_for(lock, std::chrono::milliseconds(50));
     }
@@ -322,10 +294,15 @@ void Worker(const LoadGenOptions& options, size_t index, SharedState* shared) {
 
 }  // namespace
 
+bool LoadGenReport::Clean() const {
+  return ok > 0 && errors == 0 && shed == 0 && deadline_exceeded == 0 &&
+         io_errors == 0 && connect_failures == 0 && timeouts == 0;
+}
+
 std::string LoadGenReport::ToJson() const {
   return StrFormat(
-      "{\"mode\": \"%s\", \"connections\": %zu, \"window\": %zu, "
-      "\"target_qps\": %.1f, \"duration_ms\": %lld, \"warmup_ms\": %lld, "
+      "{\"connections\": %zu, \"window\": %zu, \"duration_ms\": %lld, "
+      "\"warmup_ms\": %lld, "
       "\"sent\": %llu, \"ok\": %llu, \"errors\": %llu, \"shed\": %llu, "
       "\"deadline_exceeded\": %llu, \"from_cache\": %llu, "
       "\"connect_failures\": %llu, \"io_errors\": %llu, "
@@ -333,8 +310,8 @@ std::string LoadGenReport::ToJson() const {
       "\"hedge_wins\": %llu, \"achieved_qps\": %.2f, \"p50_us\": %.1f, "
       "\"p90_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f, "
       "\"mean_us\": %.1f, \"max_us\": %.1f}",
-      mode.c_str(), connections, window, target_qps,
-      static_cast<long long>(duration_ms), static_cast<long long>(warmup_ms),
+      connections, window, static_cast<long long>(duration_ms),
+      static_cast<long long>(warmup_ms),
       static_cast<unsigned long long>(sent),
       static_cast<unsigned long long>(ok),
       static_cast<unsigned long long>(errors),
@@ -375,10 +352,8 @@ Result<LoadGenReport> RunLoadGen(const LoadGenOptions& options) {
   }
 
   LoadGenReport report;
-  report.mode = options.open_loop_qps > 0.0 ? "open" : "closed";
   report.connections = options.connections;
   report.window = options.window;
-  report.target_qps = options.open_loop_qps;
   report.duration_ms = options.duration_ms;
   report.warmup_ms = options.warmup_ms;
   report.sent = shared.sent.load();

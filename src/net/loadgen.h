@@ -12,24 +12,17 @@
 namespace fkd {
 namespace net {
 
-/// Configuration of one timed load-generation run against an FKDN/1 server.
-///
-/// Two loop disciplines:
-///  - **closed loop** (open_loop_qps == 0): each connection keeps `window`
-///    requests outstanding, sending a new one the moment a response lands.
-///    Measures the server's sustainable throughput at that concurrency.
-///  - **open loop** (open_loop_qps > 0): requests are sent on a fixed
-///    schedule (aggregate open_loop_qps spread over the connections)
-///    regardless of completions, the way real traffic arrives. Exposes
-///    queueing delay that a closed loop hides (coordinated omission).
+/// Configuration of one timed closed-loop run against an FKDN/1 server:
+/// each connection keeps `window` requests outstanding, sending a new one
+/// the moment a response lands. This drives load for smoke tests and
+/// drills; the serving benchmark (perfbench/) owns measurement, including
+/// the open loop, which it times from each request's due time.
 struct LoadGenOptions {
   std::string host = "127.0.0.1";
   int port = 0;
   size_t connections = 4;
-  /// Closed loop: outstanding requests per connection.
+  /// Outstanding requests per connection.
   size_t window = 4;
-  /// > 0 selects the open loop at this aggregate request rate.
-  double open_loop_qps = 0.0;
   /// Measured interval; samples completing inside it make the report.
   int64_t duration_ms = 10000;
   /// Ramp-up excluded from every reported number.
@@ -61,10 +54,8 @@ struct LoadGenOptions {
 /// and drain excluded); io_errors and the client-mechanics counters are
 /// whole-run. Latencies are microseconds, submit -> response decoded.
 struct LoadGenReport {
-  std::string mode;  ///< "closed" | "open"
   size_t connections = 0;
   size_t window = 0;
-  double target_qps = 0.0;  ///< open loop only; 0 for closed
   int64_t duration_ms = 0;
   int64_t warmup_ms = 0;
 
@@ -92,7 +83,13 @@ struct LoadGenReport {
   double mean_us = 0.0;
   double max_us = 0.0;
 
-  /// Flat JSON object (one row of a BENCH_server.json run array).
+  /// The pass rule of a load round: ok > 0 and errors, shed,
+  /// deadline_exceeded, io_errors, connect_failures and timeouts all zero.
+  /// `timeouts` is whole-run, so a server that never answers fails the
+  /// round even when its requests expire after the window.
+  bool Clean() const;
+
+  /// The report as one flat JSON object.
   std::string ToJson() const;
 };
 
@@ -104,7 +101,7 @@ Result<LoadGenReport> RunLoadGen(const LoadGenOptions& options);
 
 // ---- control-channel one-shots ----------------------------------------------
 // Each opens a dedicated connection, performs one round trip and closes —
-// used by the fkd_loadgen CLI and the hot-swap-under-load tests.
+// used by fkd_loadgen --ping, perfbench and the net tests.
 
 /// kPing round trip; returns the RTT in microseconds.
 Result<int64_t> Ping(const std::string& host, int port);

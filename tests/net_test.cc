@@ -947,7 +947,94 @@ TEST(NetShutdownTest, ShutdownIsIdempotentAndRefusesNewWork) {
   ::close(fd);
 }
 
-// ==== LoadGenTest: the harness measuring the harness =========================
+/// Scripted FKDN/1 server for exercising client and load-generator paths:
+/// accepts connections and hands every decoded frame (with its connection
+/// fd) to the test's handler, which answers or closes as the script needs.
+class ScriptedServer {
+ public:
+  /// Return false to close the current connection after the frame.
+  using Handler = std::function<bool(int fd, const Frame& frame)>;
+
+  explicit ScriptedServer(Handler handler) : handler_(std::move(handler)) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    FKD_CHECK_GE(listen_fd_, 0);
+    const int one = 1;
+    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    FKD_CHECK_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)),
+                 0);
+    FKD_CHECK_EQ(::listen(listen_fd_, 8), 0);
+    socklen_t len = sizeof(addr);
+    FKD_CHECK_EQ(::getsockname(listen_fd_,
+                               reinterpret_cast<sockaddr*>(&addr), &len),
+                 0);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Serve(); });
+  }
+
+  ~ScriptedServer() {
+    stop_.store(true);
+    ::shutdown(listen_fd_, SHUT_RDWR);
+    ::close(listen_fd_);
+    thread_.join();
+    for (std::thread& conn : conn_threads_) conn.join();
+  }
+
+  int port() const { return port_; }
+
+  static void Respond(int fd, uint64_t request_id,
+                      const ClassifyResponseMsg& msg) {
+    const std::string bytes = EncodeFrame(MessageType::kClassifyResponse,
+                                          request_id,
+                                          EncodeClassifyResponse(msg));
+    size_t offset = 0;
+    while (offset < bytes.size()) {
+      const ssize_t n =
+          ::write(fd, bytes.data() + offset, bytes.size() - offset);
+      if (n <= 0) return;  // client went away; the test will notice
+      offset += static_cast<size_t>(n);
+    }
+  }
+
+ private:
+  void Serve() {
+    // One thread per connection so a deliberately stalled connection (the
+    // hedge tests) cannot block the accept loop.
+    while (!stop_.load()) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;  // listener shut down
+      conn_threads_.emplace_back([this, fd] {
+        FrameDecoder decoder;
+        bool keep = true;
+        while (keep) {
+          char chunk[16 * 1024];
+          const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+          if (n <= 0) break;
+          decoder.Append(chunk, static_cast<size_t>(n));
+          Frame frame;
+          bool ready = false;
+          while (keep && decoder.Next(&frame, &ready).ok() && ready) {
+            keep = handler_(fd, frame);
+          }
+        }
+        ::close(fd);
+      });
+    }
+  }
+
+  Handler handler_;
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+  std::vector<std::thread> conn_threads_;  // only touched by thread_ + dtor
+};
+
+// ==== LoadGenTest: the closed-loop load generator ============================
 
 std::vector<ClassifyRequestMsg> SmallCorpus(size_t n) {
   std::vector<ClassifyRequestMsg> corpus;
@@ -970,7 +1057,6 @@ TEST(LoadGenTest, ClosedLoopRoundTripAgainstLiveServer) {
   options.corpus = SmallCorpus(10);
   auto report = RunLoadGen(options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().mode, "closed");
   EXPECT_GT(report.value().ok, 0u);
   EXPECT_EQ(report.value().errors, 0u);
   EXPECT_EQ(report.value().connect_failures, 0u);
@@ -982,25 +1068,6 @@ TEST(LoadGenTest, ClosedLoopRoundTripAgainstLiveServer) {
   const std::string json = report.value().ToJson();
   EXPECT_NE(json.find("\"achieved_qps\""), std::string::npos);
   EXPECT_NE(json.find("\"p999_us\""), std::string::npos);
-}
-
-TEST(LoadGenTest, OpenLoopHoldsItsSchedule) {
-  auto harness = StartHarness();
-  LoadGenOptions options;
-  options.port = harness->server->bound_port();
-  options.connections = 2;
-  options.open_loop_qps = 200.0;
-  options.duration_ms = 1000;
-  options.warmup_ms = 200;
-  options.corpus = SmallCorpus(10);
-  auto report = RunLoadGen(options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().mode, "open");
-  // The schedule sends ~200 requests over the measured second; allow wide
-  // slack for CI jitter but catch a broken pacer (0 or unbounded).
-  EXPECT_GT(report.value().sent, 100u);
-  EXPECT_LT(report.value().sent, 400u);
-  EXPECT_EQ(report.value().errors, 0u);
 }
 
 TEST(LoadGenTest, UniqueRequestsDefeatTheScoreCache) {
@@ -1028,6 +1095,27 @@ TEST(LoadGenTest, DeadServerReportsConnectFailure) {
   options.corpus = SmallCorpus(1);
   auto report = RunLoadGen(options);
   EXPECT_FALSE(report.ok());
+}
+
+TEST(LoadGenTest, SilentServerRoundIsNotClean) {
+  // A server that takes classify frames and never answers them. Every
+  // request times out after the measured window has closed, so no
+  // windowed counter sees it; the pass rule must still fail the round.
+  ScriptedServer server([](int, const Frame&) { return true; });
+  LoadGenOptions options;
+  options.port = server.port();
+  options.connections = 2;
+  options.window = 2;
+  options.duration_ms = 300;
+  options.warmup_ms = 100;
+  options.request_timeout_us = 600'000;
+  options.drain_timeout_ms = 1000;
+  options.corpus = SmallCorpus(4);
+  auto report = RunLoadGen(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().ok, 0u);
+  EXPECT_GT(report.value().timeouts, 0u);
+  EXPECT_FALSE(report.value().Clean()) << report.value().ToJson();
 }
 
 TEST(LoadGenTest, HotSwapUnderLoadCompletesWithZeroFailures) {
@@ -1061,12 +1149,10 @@ TEST(LoadGenTest, HotSwapUnderLoadCompletesWithZeroFailures) {
   swapper.join();
 
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report.value().ok, 0u);
   // The acceptance gate: a hot swap under sustained load is invisible to
-  // clients — zero errors, zero lost connections, zero shed.
-  EXPECT_EQ(report.value().errors, 0u);
-  EXPECT_EQ(report.value().io_errors, 0u);
-  EXPECT_EQ(report.value().connect_failures, 0u);
+  // clients — some ok responses and no error, shed, deadline miss, lost
+  // connection or timeout.
+  EXPECT_TRUE(report.value().Clean()) << report.value().ToJson();
   EXPECT_EQ(last_version, 3u);
   EXPECT_EQ(harness->router->active_version(), 3u);
   EXPECT_EQ(harness->server->Stats().swaps, 2u);
@@ -1216,93 +1302,6 @@ TEST(HedgeTrackerTest, PercentileModeWarmsUpThenTracksTheTail) {
 }
 
 // ==== NetClientTest: the resilient client over real sockets =================
-
-/// Scripted FKDN/1 server for exercising client retry paths: accepts one
-/// connection at a time and hands every decoded frame (with its connection
-/// fd) to the test's handler, which answers or closes as the script needs.
-class ScriptedServer {
- public:
-  /// Return false to close the current connection after the frame.
-  using Handler = std::function<bool(int fd, const Frame& frame)>;
-
-  explicit ScriptedServer(Handler handler) : handler_(std::move(handler)) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    FKD_CHECK_GE(listen_fd_, 0);
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = 0;
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    FKD_CHECK_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof(addr)),
-                 0);
-    FKD_CHECK_EQ(::listen(listen_fd_, 8), 0);
-    socklen_t len = sizeof(addr);
-    FKD_CHECK_EQ(::getsockname(listen_fd_,
-                               reinterpret_cast<sockaddr*>(&addr), &len),
-                 0);
-    port_ = ntohs(addr.sin_port);
-    thread_ = std::thread([this] { Serve(); });
-  }
-
-  ~ScriptedServer() {
-    stop_.store(true);
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    thread_.join();
-    for (std::thread& conn : conn_threads_) conn.join();
-  }
-
-  int port() const { return port_; }
-
-  static void Respond(int fd, uint64_t request_id,
-                      const ClassifyResponseMsg& msg) {
-    const std::string bytes = EncodeFrame(MessageType::kClassifyResponse,
-                                          request_id,
-                                          EncodeClassifyResponse(msg));
-    size_t offset = 0;
-    while (offset < bytes.size()) {
-      const ssize_t n =
-          ::write(fd, bytes.data() + offset, bytes.size() - offset);
-      if (n <= 0) return;  // client went away; the test will notice
-      offset += static_cast<size_t>(n);
-    }
-  }
-
- private:
-  void Serve() {
-    // One thread per connection so a deliberately stalled connection (the
-    // hedge tests) cannot block the accept loop.
-    while (!stop_.load()) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) return;  // listener shut down
-      conn_threads_.emplace_back([this, fd] {
-        FrameDecoder decoder;
-        bool keep = true;
-        while (keep) {
-          char chunk[16 * 1024];
-          const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-          if (n <= 0) break;
-          decoder.Append(chunk, static_cast<size_t>(n));
-          Frame frame;
-          bool ready = false;
-          while (keep && decoder.Next(&frame, &ready).ok() && ready) {
-            keep = handler_(fd, frame);
-          }
-        }
-        ::close(fd);
-      });
-    }
-  }
-
-  Handler handler_;
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-  std::vector<std::thread> conn_threads_;  // only touched by thread_ + dtor
-};
 
 /// Client options tuned for tests: fast, deterministic backoff.
 NetClientOptions FastClientOptions(int port) {

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Doc lint over README.md, DESIGN.md and EXPERIMENTS.md:
+# Doc lint over README.md, DESIGN.md, EXPERIMENTS.md and the verify skill
+# (.claude/skills/verify/SKILL.md):
 #
 #  - every BENCH_* / bench_output* artifact they cite must exist in the
 #    source tree and, inside a git checkout, be tracked by git. An ignored
 #    or never-added file exists only on the machine that produced it, so
 #    the citation would point nowhere in every clone;
-#  - every src/, tools/, tests/, bench/ or examples/ path they cite must
-#    resolve: to a file or directory, to a stem with a .h/.cc/.cpp/.sh file
-#    (the docs name modules and binaries by stem), or, for a * glob, to at
-#    least one file. A path behind build/ names a binary, which resolves
-#    through its source. One {a,b} group is expanded and each member checked.
+#  - every src/, tools/, tests/, bench/, examples/ or perfbench/ path they
+#    cite must resolve: to a file or directory, to a stem with a
+#    .h/.cc/.cpp/.sh file (the docs name modules and binaries by stem), or,
+#    for a * glob, to at least one file. A path behind build/ names a
+#    binary, which resolves through its source. One {a,b} group is
+#    expanded and each member checked.
 #
 #   tools/doc_lint.sh [source-dir]   (default: the repo root)
 
@@ -24,7 +26,7 @@ if top="$(git rev-parse --show-toplevel 2>/dev/null)" &&
   check_tracked=true
 fi
 
-DOCS=(README.md DESIGN.md EXPERIMENTS.md)
+DOCS=(README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
 failures=0
 
 for doc in "${DOCS[@]}"; do
@@ -80,7 +82,7 @@ for doc in "${DOCS[@]}"; do
       fi
     done
   done < <(grep -noE \
-      '(^|[^A-Za-z0-9_./-])(\./)?(build[A-Za-z0-9_-]*/)?(src|tools|tests|bench|examples)/[A-Za-z0-9_./*{},+-]*' \
+      '(^|[^A-Za-z0-9_./-])(\./)?(build[A-Za-z0-9_-]*/)?(src|tools|tests|bench|examples|perfbench)/[A-Za-z0-9_./*{},+-]*' \
       "${doc}" || true)
 done
 

@@ -1,52 +1,26 @@
-// Multi-connection load generator for fkd_server, speaking FKDN/1.
+// Closed-loop load generator for fkd_server, speaking FKDN/1.
 //
+//   ./fkd_loadgen --port=7433 --ping
 //   ./fkd_loadgen --port=7433 --connections=8 --duration-s=10
-//   ./fkd_loadgen --port=7433 --open-qps=500 --duration-s=10
-//   ./fkd_loadgen --port=7433 --sweep-connections=1,2,4,8 --json=out.json
-//   ./fkd_loadgen --port=7433 --swap --swap-every-s=3   # hot-swap under load
 //
-// Closed loop (default): each connection keeps --window requests
-// outstanding — measures sustainable throughput at that concurrency.
-// --open-qps switches to an open loop sending on a fixed schedule, the
-// honest way to measure latency under a target arrival rate.
-//
-// Sweeps run one timed round per value of the swept axis
-// (--sweep-connections / --sweep-window / --sweep-canary, comma-separated)
-// and emit a JSON array with hardware context (--json), the format
-// committed as BENCH_server.json. --swap spawns a thread driving
-// kSwapRequest control frames every --swap-every-s during the run;
-// --expect-zero-errors makes the exit code assert that no request failed —
-// the live hot-swap-under-load acceptance gate.
+// Each connection keeps --window requests outstanding for one timed round;
+// the round's report prints as one JSON line (net::LoadGenReport::ToJson).
+// --expect-zero-errors makes the exit code apply LoadGenReport::Clean():
+// at least one ok response and no failure of any kind. The client flags
+// (--timeout-us, --retries, --backoff-us, --hedge-us, --hedge-p) configure
+// the underlying net::NetClient. This drives load for smoke tests and
+// drills; measurement belongs to the serving benchmark, perfbench/.
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "../bench/bench_hardware.h"
 #include "common/flags.h"
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "data/generator.h"
 #include "net/loadgen.h"
 
 namespace {
-
-std::vector<int64_t> ParseIntList(const std::string& text) {
-  std::vector<int64_t> values;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string token = text.substr(pos, comma - pos);
-    if (!token.empty()) values.push_back(std::atoll(token.c_str()));
-    pos = comma + 1;
-  }
-  return values;
-}
 
 /// Builds the request corpus from the same synthetic distribution the demo
 /// server trains on, so cache hit rates are realistic rather than 100%.
@@ -71,10 +45,8 @@ int main(int argc, char** argv) {
   flags.AddString("host", "127.0.0.1", "server address (numeric IPv4)");
   flags.AddInt("port", 7433, "server port");
   flags.AddInt("connections", 4, "client connections");
-  flags.AddInt("window", 4, "closed-loop outstanding requests/connection");
-  flags.AddDouble("open-qps", 0.0,
-                  "open-loop aggregate request rate (0 = closed loop)");
-  flags.AddInt("duration-s", 10, "measured seconds per round");
+  flags.AddInt("window", 4, "outstanding requests per connection");
+  flags.AddInt("duration-s", 10, "measured seconds");
   flags.AddInt("warmup-s", 1, "warmup seconds excluded from the report");
   flags.AddInt("deadline-us", 0, "per-request engine deadline (0 = none)");
   flags.AddInt("timeout-us", 0,
@@ -92,20 +64,10 @@ int main(int argc, char** argv) {
   flags.AddBool("unique", false,
                 "salt every request so the score cache never hits "
                 "(measures the engine-bound path)");
-  flags.AddString("sweep-connections", "",
-                  "comma-separated connection counts, one round each");
-  flags.AddString("sweep-window", "",
-                  "comma-separated window sizes, one round each");
-  flags.AddString("sweep-canary", "",
-                  "comma-separated canary permilles, one round each "
-                  "(sends kCanaryRequest before the round)");
-  flags.AddBool("swap", false,
-                "drive hot-swaps through the run (--swap-every-s)");
-  flags.AddInt("swap-every-s", 3, "seconds between swaps with --swap");
   flags.AddBool("expect-zero-errors", false,
-                "exit non-zero if any request errored (swap-under-load gate)");
+                "exit non-zero unless the round is clean: some ok "
+                "responses and no failure of any kind");
   flags.AddBool("ping", false, "one kPing round trip, print RTT, exit");
-  flags.AddString("json", "", "write the rounds as a JSON report here");
   fkd::Status parsed = flags.Parse(argc, argv);
   if (!parsed.ok()) {
     std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
@@ -123,152 +85,29 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  fkd::net::LoadGenOptions base;
-  base.host = host;
-  base.port = port;
-  base.connections = static_cast<size_t>(flags.GetInt("connections"));
-  base.window = static_cast<size_t>(flags.GetInt("window"));
-  base.open_loop_qps = flags.GetDouble("open-qps");
-  base.duration_ms = flags.GetInt("duration-s") * 1000;
-  base.warmup_ms = flags.GetInt("warmup-s") * 1000;
-  base.deadline_us = flags.GetInt("deadline-us");
-  base.corpus = BuildCorpus(static_cast<size_t>(flags.GetInt("corpus")));
-  base.unique_requests = flags.GetBool("unique");
-  base.request_timeout_us = flags.GetInt("timeout-us");
-  base.retry.max_attempts = static_cast<int>(flags.GetInt("retries"));
-  base.retry.backoff_base_us = flags.GetInt("backoff-us");
-  base.hedge.hedge_fixed_us = flags.GetInt("hedge-us");
-  base.hedge.hedge_percentile = flags.GetDouble("hedge-p");
+  fkd::net::LoadGenOptions options;
+  options.host = host;
+  options.port = port;
+  options.connections = static_cast<size_t>(flags.GetInt("connections"));
+  options.window = static_cast<size_t>(flags.GetInt("window"));
+  options.duration_ms = flags.GetInt("duration-s") * 1000;
+  options.warmup_ms = flags.GetInt("warmup-s") * 1000;
+  options.deadline_us = flags.GetInt("deadline-us");
+  options.corpus = BuildCorpus(static_cast<size_t>(flags.GetInt("corpus")));
+  options.unique_requests = flags.GetBool("unique");
+  options.request_timeout_us = flags.GetInt("timeout-us");
+  options.retry.max_attempts = static_cast<int>(flags.GetInt("retries"));
+  options.retry.backoff_base_us = flags.GetInt("backoff-us");
+  options.hedge.hedge_fixed_us = flags.GetInt("hedge-us");
+  options.hedge.hedge_percentile = flags.GetDouble("hedge-p");
 
-  // The sweep axis: exactly one of connections/window/canary, else a
-  // single round with the base options.
-  const std::vector<int64_t> sweep_connections =
-      ParseIntList(flags.GetString("sweep-connections"));
-  const std::vector<int64_t> sweep_window =
-      ParseIntList(flags.GetString("sweep-window"));
-  const std::vector<int64_t> sweep_canary =
-      ParseIntList(flags.GetString("sweep-canary"));
-
-  struct Round {
-    std::string axis;
-    int64_t value = 0;
-    fkd::net::LoadGenReport report;
-  };
-  std::vector<Round> rounds;
-  auto run_round = [&](const std::string& axis, int64_t value,
-                       const fkd::net::LoadGenOptions& options) {
-    std::printf("[%s=%lld] %s loop, %zu conns, window %zu%s...\n",
-                axis.c_str(), static_cast<long long>(value),
-                options.open_loop_qps > 0 ? "open" : "closed",
-                options.connections, options.window,
-                options.open_loop_qps > 0
-                    ? fkd::StrFormat(", %.0f qps target",
-                                     options.open_loop_qps)
-                          .c_str()
-                    : "");
-    // Hot-swap driver: publishes a new version every swap-every-s for the
-    // whole round; the acceptance gate is zero client-visible failures.
-    std::atomic<bool> swapping{flags.GetBool("swap")};
-    std::thread swapper;
-    if (swapping.load()) {
-      swapper = std::thread([&] {
-        const int64_t every_ms = flags.GetInt("swap-every-s") * 1000;
-        int64_t elapsed_ms = 0;
-        while (swapping.load()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(100));
-          elapsed_ms += 100;
-          if (elapsed_ms < every_ms) continue;
-          elapsed_ms = 0;
-          auto version = fkd::net::RequestSwap(host, port);
-          if (version.ok()) {
-            std::printf("  hot-swapped to version %llu\n",
-                        static_cast<unsigned long long>(version.value()));
-          } else {
-            std::fprintf(stderr, "  swap failed: %s\n",
-                         version.status().ToString().c_str());
-          }
-        }
-      });
-    }
-    auto report = fkd::net::RunLoadGen(options);
-    swapping.store(false);
-    if (swapper.joinable()) swapper.join();
-    FKD_CHECK_OK(report.status());
-    const fkd::net::LoadGenReport& r = report.value();
-    std::printf("  %.1f qps sustained | ok %llu, shed %llu, errors %llu, "
-                "deadline %llu | retries %llu, hedges %llu | "
-                "p50 %.0f us, p99 %.0f us, p99.9 %.0f us\n",
-                r.achieved_qps, static_cast<unsigned long long>(r.ok),
-                static_cast<unsigned long long>(r.shed),
-                static_cast<unsigned long long>(r.errors),
-                static_cast<unsigned long long>(r.deadline_exceeded),
-                static_cast<unsigned long long>(r.retries),
-                static_cast<unsigned long long>(r.hedges), r.p50_us,
-                r.p99_us, r.p999_us);
-    rounds.push_back({axis, value, r});
-  };
-
-  if (!sweep_connections.empty()) {
-    for (int64_t value : sweep_connections) {
-      fkd::net::LoadGenOptions options = base;
-      options.connections = static_cast<size_t>(value);
-      run_round("connections", value, options);
-    }
-  } else if (!sweep_window.empty()) {
-    for (int64_t value : sweep_window) {
-      fkd::net::LoadGenOptions options = base;
-      options.window = static_cast<size_t>(value);
-      run_round("window", value, options);
-    }
-  } else if (!sweep_canary.empty()) {
-    for (int64_t value : sweep_canary) {
-      auto canary = fkd::net::RequestCanary(
-          host, port, static_cast<uint32_t>(value));
-      if (!canary.ok()) {
-        std::fprintf(stderr, "canary %lld permille failed: %s\n",
-                     static_cast<long long>(value),
-                     canary.status().ToString().c_str());
-        return 1;
-      }
-      run_round("canary_permille", value, base);
-    }
-    // Leave the server canary-free.
-    (void)fkd::net::RequestCanary(host, port, 0);
-  } else {
-    run_round("single", 0, base);
-  }
-
-  uint64_t total_errors = 0;
-  for (const Round& round : rounds) {
-    total_errors += round.report.errors + round.report.io_errors +
-                    round.report.connect_failures +
-                    round.report.deadline_exceeded;
-  }
-
-  const std::string json_path = flags.GetString("json");
-  if (!json_path.empty()) {
-    std::string out = "{\n  \"bench\": \"server_loadgen\",\n  ";
-    out += fkd::bench::HardwareContextJsonFields();
-    out += ",\n  \"rounds\": [\n";
-    for (size_t i = 0; i < rounds.size(); ++i) {
-      out += fkd::StrFormat(
-          "    {\"axis\": \"%s\", \"value\": %lld, \"report\": %s}%s\n",
-          rounds[i].axis.c_str(), static_cast<long long>(rounds[i].value),
-          rounds[i].report.ToJson().c_str(),
-          i + 1 < rounds.size() ? "," : "");
-    }
-    out += "  ]\n}\n";
-    FILE* f = std::fopen(json_path.c_str(), "w");
-    FKD_CHECK(f != nullptr) << "cannot write " << json_path;
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    std::printf("report written to %s\n", json_path.c_str());
-  }
-
-  if (flags.GetBool("expect-zero-errors") && total_errors != 0) {
-    std::fprintf(stderr,
-                 "FAILED: %llu client-visible errors (expected zero)\n",
-                 static_cast<unsigned long long>(total_errors));
+  auto report = fkd::net::RunLoadGen(options);
+  FKD_CHECK_OK(report.status());
+  std::printf("%s\n", report.value().ToJson().c_str());
+  if (flags.GetBool("expect-zero-errors") && !report.value().Clean()) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "FAILED: the round is not clean (expected some ok "
+                         "responses and no failure of any kind)\n");
     return 1;
   }
   return 0;

@@ -79,6 +79,11 @@ fkd::Status TrainDemoSnapshot(const std::string& snapshot_dir,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Installed first, so a signal that arrives while the model still trains
+  // or loads also ends in the graceful sequence below, not in a kill.
+  std::signal(SIGINT, &HandleSignal);
+  std::signal(SIGTERM, &HandleSignal);
+
   fkd::FlagParser flags;
   flags.AddString("host", "127.0.0.1", "bind address (numeric IPv4)");
   flags.AddInt("port", 7433, "TCP port (0 = ephemeral, see --port-file)");
@@ -166,8 +171,6 @@ int main(int argc, char** argv) {
   fkd::obs::StatsExporter* exporter =
       fkd::obs::StatsExporter::MaybeStartFromEnvironment();
 
-  std::signal(SIGINT, &HandleSignal);
-  std::signal(SIGTERM, &HandleSignal);
   while (!g_shutdown.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
