@@ -1,36 +1,19 @@
 #include "common/clock.h"
 
 #include <chrono>
-#include <thread>
 
 namespace fkd {
-namespace {
 
-class RealClock : public Clock {
- public:
-  int64_t NowUs() override {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
+int64_t MonotonicUs() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
-  int64_t WallUs() override {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::system_clock::now().time_since_epoch())
-        .count();
-  }
-
-  void SleepUs(int64_t us) override {
-    if (us <= 0) return;
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
-  }
-};
-
-}  // namespace
-
-Clock* Clock::Real() {
-  static RealClock* real = new RealClock();
-  return real;
+int64_t WallUs() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
 }
 
 }  // namespace fkd

@@ -1,97 +1,20 @@
 #ifndef FKD_COMMON_CLOCK_H_
 #define FKD_COMMON_CLOCK_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 
 namespace fkd {
 
-/// Time source abstraction so retry/backoff/deadline logic is testable
-/// without real sleeps.
-///
-/// Two timescales, deliberately separate:
-///  - NowUs()  — monotonic (steady_clock) microseconds; the only clock
-///    allowed in timeout/backoff arithmetic, immune to NTP steps.
+/// The two timescales of the serving stack, deliberately separate:
+///  - MonotonicUs() — monotonic (steady_clock) microseconds, arbitrary
+///    epoch, differences only; the only clock allowed in timeout/backoff
+///    arithmetic, immune to NTP steps.
 ///  - WallUs() — wall-clock (system_clock) microseconds since the Unix
 ///    epoch; the clock the FKDN deadline-propagation contract uses so a
 ///    client-stamped absolute deadline means the same instant on the
 ///    server (same box or NTP-disciplined fleet).
-///
-/// Production code uses Clock::Real(); tests inject a FakeClock and drive
-/// time by hand — a "sleep" then completes instantly and deterministically.
-class Clock {
- public:
-  virtual ~Clock() = default;
-
-  /// Monotonic microseconds (arbitrary epoch; differences only).
-  virtual int64_t NowUs() = 0;
-
-  /// Wall-clock microseconds since the Unix epoch.
-  virtual int64_t WallUs() = 0;
-
-  /// Blocks the caller for `us` microseconds (no-op when us <= 0).
-  virtual void SleepUs(int64_t us) = 0;
-
-  /// Process-wide real clock (steady_clock / system_clock / sleep_for).
-  static Clock* Real();
-};
-
-/// Deterministic manual-advance clock for unit tests. SleepUs() does not
-/// block: it advances the fake time and returns, recording the request so
-/// tests can assert exactly how long a backoff loop *would* have slept.
-/// Thread-safe; a sleeper blocked in SleepUs on one thread is released by
-/// Advance() from another (time only moves when a test moves it).
-class FakeClock : public Clock {
- public:
-  explicit FakeClock(int64_t now_us = 0, int64_t wall_us = 0)
-      : now_us_(now_us), wall_us_(wall_us) {}
-
-  int64_t NowUs() override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return now_us_;
-  }
-  int64_t WallUs() override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return wall_us_;
-  }
-
-  /// Advances both timescales and returns immediately — the test, not the
-  /// scheduler, decides when time passes.
-  void SleepUs(int64_t us) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (us <= 0) return;
-    total_slept_us_ += us;
-    ++sleep_calls_;
-    now_us_ += us;
-    wall_us_ += us;
-  }
-
-  /// Moves both clocks forward by `us`.
-  void Advance(int64_t us) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    now_us_ += us;
-    wall_us_ += us;
-  }
-
-  /// Microseconds of sleep requested so far (what real time would have
-  /// cost) and the number of SleepUs calls.
-  int64_t total_slept_us() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return total_slept_us_;
-  }
-  int64_t sleep_calls() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return sleep_calls_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  int64_t now_us_;
-  int64_t wall_us_;
-  int64_t total_slept_us_ = 0;
-  int64_t sleep_calls_ = 0;
-};
+int64_t MonotonicUs();
+int64_t WallUs();
 
 }  // namespace fkd
 

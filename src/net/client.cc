@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -32,10 +33,7 @@ constexpr size_t kReadChunk = 64 * 1024;
 }  // namespace
 
 NetClient::NetClient(NetClientOptions options)
-    : options_(std::move(options)),
-      clock_(options_.clock != nullptr ? options_.clock : Clock::Real()),
-      retry_(options_.retry),
-      hedge_(options_.hedge) {}
+    : options_(std::move(options)), retry_(options_.retry) {}
 
 NetClient::~NetClient() { Stop(); }
 
@@ -49,7 +47,7 @@ Status NetClient::Start() {
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    StartConnect(&primary_);
+    StartConnect();
   }
   io_thread_ = std::thread([this] { IoMain(); });
   return Status::OK();
@@ -63,7 +61,7 @@ void NetClient::Stop() {
   Wake();
   if (io_thread_.joinable()) io_thread_.join();
   // IoMain's exit path failed everything still pending; just release the
-  // wake fd (sockets are closed by the I/O thread).
+  // wake fd (the socket is closed by the I/O thread).
   if (wake_fd_ >= 0) {
     close(wake_fd_);
     wake_fd_ = -1;
@@ -81,31 +79,30 @@ uint64_t NetClient::Submit(ClassifyRequestMsg msg, Callback callback) {
     return id;
   }
 
-  const int64_t now = clock_->NowUs();
+  const int64_t now = MonotonicUs();
   int64_t budget = options_.default_timeout_us;
   if (msg.deadline_unix_us > 0) {
     // The caller owns the deadline; our local timer mirrors what is left
     // of it. An already-expired request is enqueued anyway and expires on
     // the next timer pass — one code path for all expiries.
-    budget = msg.deadline_unix_us - clock_->WallUs();
-  } else if (options_.propagate_deadline) {
-    msg.deadline_unix_us = clock_->WallUs() + budget;
+    budget = msg.deadline_unix_us - WallUs();
+  } else {
+    msg.deadline_unix_us = WallUs() + budget;
   }
 
+  // The frame is encoded once, so every attempt carries the same id and
+  // the same absolute deadline: a retry never extends the caller's budget.
   Pending pending;
   pending.frame =
       EncodeFrame(MessageType::kClassifyRequest, id, EncodeClassifyRequest(msg));
   pending.callback = std::move(callback);
-  pending.sent_us = now;
   pending.deadline_us = now + budget;
-  const int64_t hedge_delay = hedge_.enabled() ? hedge_.HedgeDelayUs() : -1;
-  if (hedge_delay >= 0) pending.hedge_at_us = now + hedge_delay;
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (primary_.open() && !primary_.connecting) {
+    if (conn_.open() && !conn_.connecting) {
       pending.attempt = 1;
-      primary_.outbound.append(pending.frame);
+      conn_.outbound.append(pending.frame);
     } else {
       // No connection yet: leave attempt 0 and make the "retry" timer due
       // immediately; the first real send happens once the socket opens.
@@ -140,8 +137,6 @@ NetClientStats NetClient::Stats() const {
   stats.transport_errors = transport_errors_.load();
   stats.other_errors = other_errors_.load();
   stats.retries = retries_.load();
-  stats.hedges = hedges_.load();
-  stats.hedge_wins = hedge_wins_.load();
   stats.reconnects = reconnects_.load();
   stats.timeouts = timeouts_.load();
   return stats;
@@ -181,73 +176,73 @@ void NetClient::CountOutcome(const Result<ClassifyResponseMsg>& result) {
   }
 }
 
-void NetClient::StartConnect(Conn* conn) {
+void NetClient::StartConnect() {
   // Called with mutex_ held.
-  conn->fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (conn->fd < 0) {
-    if (conn == &primary_) {
-      reconnect_attempt_++;
-      reconnect_at_us_ = clock_->NowUs() + retry_.BackoffUs(reconnect_attempt_);
-    }
+  conn_.fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (conn_.fd < 0) {
+    ScheduleReconnect();
     return;
   }
   int one = 1;
-  setsockopt(conn->fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  setsockopt(conn_.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(options_.port));
   if (inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    close(conn->fd);
-    conn->fd = -1;
+    CloseConn();
     return;  // bad host never becomes connectable; deadlines clean up
   }
-  int rc = connect(conn->fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  int rc = connect(conn_.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
   if (rc == 0) {
-    conn->connecting = false;
-    if (conn == &primary_) {
-      if (reconnect_attempt_ > 0) reconnects_.fetch_add(1);
-      reconnect_attempt_ = 0;
-      reconnect_at_us_ = 0;
-    }
+    conn_.connecting = false;
+    OnConnected();
   } else if (errno == EINPROGRESS) {
-    conn->connecting = true;
+    conn_.connecting = true;
   } else {
-    close(conn->fd);
-    conn->fd = -1;
-    if (conn == &primary_) {
-      reconnect_attempt_++;
-      reconnect_at_us_ = clock_->NowUs() + retry_.BackoffUs(reconnect_attempt_);
-    }
+    CloseConn();
+    ScheduleReconnect();
   }
 }
 
-void NetClient::FinishConnect(Conn* conn) {
+void NetClient::FinishConnect() {
   // Called with mutex_ held, after poll reported the socket writable.
   int err = 0;
   socklen_t len = sizeof(err);
-  if (getsockopt(conn->fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
+  if (getsockopt(conn_.fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
     err = errno;
   }
-  conn->connecting = false;
+  conn_.connecting = false;
   if (err != 0) {
-    close(conn->fd);
-    conn->fd = -1;
-    conn->decoder = FrameDecoder(kDefaultMaxPayload);
-    conn->outbound.clear();
-    conn->out_offset = 0;
-    if (conn == &primary_) {
-      reconnect_attempt_++;
-      reconnect_at_us_ = clock_->NowUs() + retry_.BackoffUs(reconnect_attempt_);
-    }
+    CloseConn();
+    ScheduleReconnect();
     return;
   }
-  if (conn == &primary_) {
-    if (reconnect_attempt_ > 0) reconnects_.fetch_add(1);
-    reconnect_attempt_ = 0;
-    reconnect_at_us_ = 0;
-  }
+  OnConnected();
+}
+
+void NetClient::OnConnected() {
+  // Called with mutex_ held.
+  if (reconnect_attempt_ > 0) reconnects_.fetch_add(1);
+  reconnect_attempt_ = 0;
+  reconnect_at_us_ = 0;
+}
+
+void NetClient::ScheduleReconnect() {
+  // Called with mutex_ held.
+  reconnect_attempt_++;
+  reconnect_at_us_ = MonotonicUs() + retry_.BackoffUs(reconnect_attempt_);
+}
+
+void NetClient::CloseConn() {
+  // Called with mutex_ held.
+  close(conn_.fd);
+  conn_.fd = -1;
+  conn_.connecting = false;
+  conn_.decoder = FrameDecoder(kDefaultMaxPayload);
+  conn_.outbound.clear();
+  conn_.out_offset = 0;
 }
 
 void NetClient::IoMain() {
@@ -255,30 +250,17 @@ void NetClient::IoMain() {
   std::vector<std::pair<Callback, Result<ClassifyResponseMsg>>> done;
 
   while (!stop_.load()) {
-    pollfd fds[3];
+    pollfd fds[2];
     nfds_t nfds = 0;
     fds[nfds++] = {wake_fd_, POLLIN, 0};
-    int primary_slot = -1;
-    int hedge_slot = -1;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (primary_.open()) {
+      if (conn_.open()) {
         short events = POLLIN;
-        if (primary_.connecting ||
-            primary_.out_offset < primary_.outbound.size()) {
+        if (conn_.connecting || conn_.out_offset < conn_.outbound.size()) {
           events |= POLLOUT;
         }
-        primary_slot = static_cast<int>(nfds);
-        fds[nfds++] = {primary_.fd, events, 0};
-      }
-      if (hedge_conn_.open()) {
-        short events = POLLIN;
-        if (hedge_conn_.connecting ||
-            hedge_conn_.out_offset < hedge_conn_.outbound.size()) {
-          events |= POLLOUT;
-        }
-        hedge_slot = static_cast<int>(nfds);
-        fds[nfds++] = {hedge_conn_.fd, events, 0};
+        fds[nfds++] = {conn_.fd, events, 0};
       }
     }
     int rc = poll(fds, nfds, static_cast<int>(timeout_ms));
@@ -294,22 +276,21 @@ void NetClient::IoMain() {
     done.clear();
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      for (Conn* conn : {&primary_, &hedge_conn_}) {
-        int slot = conn == &primary_ ? primary_slot : hedge_slot;
-        if (slot < 0 || !conn->open()) continue;
-        short revents = fds[slot].revents;
-        if (conn->connecting) {
-          if (revents & (POLLOUT | POLLERR | POLLHUP)) FinishConnect(conn);
-          continue;
+      // Only the I/O thread opens or closes the socket, so the polled fd is
+      // still conn_'s.
+      const short revents = nfds > 1 ? fds[1].revents : 0;
+      if (conn_.connecting) {
+        if (revents & (POLLOUT | POLLERR | POLLHUP)) FinishConnect();
+      } else if (conn_.open()) {
+        // Read before any teardown: answers that arrived together with a
+        // reset or a close are in the socket buffer and still count.
+        if (revents & (POLLIN | POLLERR | POLLHUP)) HandleReadable(&done);
+        if (conn_.open() && (revents & (POLLERR | POLLHUP))) {
+          ConnLost(Status::IoError("connection error"), &done);
         }
-        if (revents & (POLLERR | POLLHUP)) {
-          ConnLost(conn, Status::IoError("connection error"), &done);
-          continue;
-        }
-        if (revents & POLLIN) HandleReadable(conn, &done);
-        if (conn->open() && (revents & POLLOUT)) FlushConn(conn, &done);
+        if (conn_.open() && (revents & POLLOUT)) FlushConn(&done);
       }
-      timeout_ms = StepTimers(clock_->NowUs(), &done);
+      timeout_ms = StepTimers(MonotonicUs(), &done);
     }
     for (auto& completion : done) {
       CountOutcome(completion.second);
@@ -317,7 +298,7 @@ void NetClient::IoMain() {
     }
   }
 
-  // Shutdown: fail whatever is still in flight, close the sockets.
+  // Shutdown: fail whatever is still in flight, close the socket.
   done.clear();
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -326,12 +307,7 @@ void NetClient::IoMain() {
                         Status::Unavailable("NetClient stopped"));
     }
     pending_.clear();
-    for (Conn* conn : {&primary_, &hedge_conn_}) {
-      if (conn->open()) {
-        close(conn->fd);
-        conn->fd = -1;
-      }
-    }
+    if (conn_.open()) CloseConn();
   }
   for (auto& completion : done) {
     CountOutcome(completion.second);
@@ -341,9 +317,9 @@ void NetClient::IoMain() {
 
 int64_t NetClient::StepTimers(int64_t now_us, CompletionList* done) {
   // Called with mutex_ held.
-  if (!primary_.open() && !primary_.connecting) {
+  if (!conn_.open() && !conn_.connecting) {
     if (reconnect_at_us_ == 0 || now_us >= reconnect_at_us_) {
-      StartConnect(&primary_);
+      StartConnect();
     }
   }
 
@@ -358,33 +334,18 @@ int64_t NetClient::StepTimers(int64_t now_us, CompletionList* done) {
     next_us = std::min(next_us, p.deadline_us);
 
     if (p.retry_at_us > 0) {
-      if (primary_.open() && !primary_.connecting) {
+      if (conn_.open() && !conn_.connecting) {
         if (now_us >= p.retry_at_us) {
           if (p.attempt >= 1) retries_.fetch_add(1);
           p.attempt++;
           p.retry_at_us = 0;
-          primary_.outbound.append(p.frame);
+          conn_.outbound.append(p.frame);
         } else {
           next_us = std::min(next_us, p.retry_at_us);
         }
       }
-      // Primary down: the retry waits for the reconnect; connect
+      // Connection down: the retry waits for the reconnect; connect
       // completion wakes the poll, kMaxPollMs bounds the wait otherwise.
-    }
-
-    if (p.hedge_at_us > 0 && !p.hedged && p.retry_at_us == 0) {
-      if (now_us >= p.hedge_at_us) {
-        if (!hedge_conn_.open()) StartConnect(&hedge_conn_);
-        if (hedge_conn_.open() && !hedge_conn_.connecting) {
-          hedge_conn_.outbound.append(p.frame);
-          p.hedged = true;
-          p.hedge_at_us = 0;
-          hedges_.fetch_add(1);
-        }
-        // Still connecting: POLLOUT on the hedge fd wakes us to finish.
-      } else {
-        next_us = std::min(next_us, p.hedge_at_us);
-      }
     }
   }
   for (uint64_t id : expired) {
@@ -399,7 +360,7 @@ int64_t NetClient::StepTimers(int64_t now_us, CompletionList* done) {
     pending_.erase(it);
   }
 
-  if (!primary_.open() && !primary_.connecting && reconnect_at_us_ > 0) {
+  if (!conn_.open() && !conn_.connecting && reconnect_at_us_ > 0) {
     next_us = std::min(next_us, reconnect_at_us_);
   }
   int64_t timeout_ms = (next_us - now_us + 999) / 1000;
@@ -408,59 +369,58 @@ int64_t NetClient::StepTimers(int64_t now_us, CompletionList* done) {
   return timeout_ms;
 }
 
-void NetClient::FlushConn(Conn* conn, CompletionList* done) {
+void NetClient::FlushConn(CompletionList* done) {
   // Called with mutex_ held.
-  while (conn->out_offset < conn->outbound.size()) {
-    ssize_t n = send(conn->fd, conn->outbound.data() + conn->out_offset,
-                     conn->outbound.size() - conn->out_offset, MSG_NOSIGNAL);
+  while (conn_.out_offset < conn_.outbound.size()) {
+    ssize_t n = send(conn_.fd, conn_.outbound.data() + conn_.out_offset,
+                     conn_.outbound.size() - conn_.out_offset, MSG_NOSIGNAL);
     if (n > 0) {
-      conn->out_offset += static_cast<size_t>(n);
+      conn_.out_offset += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     if (n < 0 && errno == EINTR) continue;
-    ConnLost(conn,
-             Status::IoError(StrFormat("write: %s", std::strerror(errno))),
+    ConnLost(Status::IoError(StrFormat("write: %s", std::strerror(errno))),
              done);
     return;
   }
-  conn->outbound.clear();
-  conn->out_offset = 0;
+  conn_.outbound.clear();
+  conn_.out_offset = 0;
 }
 
-void NetClient::HandleReadable(Conn* conn, CompletionList* done) {
+void NetClient::HandleReadable(CompletionList* done) {
   // Called with mutex_ held.
+  Status lost;
   char buf[kReadChunk];
   while (true) {
-    ssize_t n = read(conn->fd, buf, sizeof(buf));
+    ssize_t n = read(conn_.fd, buf, sizeof(buf));
     if (n > 0) {
-      conn->decoder.Append(buf, static_cast<size_t>(n));
+      conn_.decoder.Append(buf, static_cast<size_t>(n));
       if (static_cast<size_t>(n) < sizeof(buf)) break;
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
-    ConnLost(conn,
-             n == 0 ? Status::Unavailable("server closed connection")
-                    : Status::IoError(
-                          StrFormat("read: %s", std::strerror(errno))),
-             done);
-    return;
+    lost = n == 0 ? Status::Unavailable("server closed connection")
+                  : Status::IoError(
+                        StrFormat("read: %s", std::strerror(errno)));
+    break;
   }
 
+  // Deliver every complete frame before acting on EOF or an error, so the
+  // retry policy only sees requests whose answers really are missing.
   Frame frame;
   bool ready = false;
   while (true) {
-    Status status = conn->decoder.Next(&frame, &ready);
+    Status status = conn_.decoder.Next(&frame, &ready);
     if (!status.ok()) {
-      ConnLost(conn, status, done);
+      ConnLost(status, done);
       return;
     }
     if (!ready) break;
-    const bool from_hedge = conn == &hedge_conn_;
     switch (frame.type) {
       case MessageType::kClassifyResponse:
-        HandleResponse(frame.request_id, frame.payload, from_hedge, done);
+        HandleResponse(frame.request_id, frame.payload, done);
         break;
       case MessageType::kError: {
         auto decoded = DecodeControlResponse(frame.payload);
@@ -483,15 +443,15 @@ void NetClient::HandleReadable(Conn* conn, CompletionList* done) {
       default:
         break;  // pongs / control replies are not ours to route
     }
-    if (!conn->open()) return;  // a handler tore the connection down
   }
+  if (!lost.ok()) ConnLost(lost, done);
 }
 
 void NetClient::HandleResponse(uint64_t request_id, const std::string& payload,
-                               bool from_hedge, CompletionList* done) {
+                               CompletionList* done) {
   // Called with mutex_ held.
   auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;  // duplicate (hedge/retry) — first won
+  if (it == pending_.end()) return;  // duplicate (retry) — first won
 
   auto decoded = DecodeClassifyResponse(payload);
   if (!decoded.ok()) {
@@ -511,11 +471,6 @@ void NetClient::HandleResponse(uint64_t request_id, const std::string& payload,
       return;
     }
   }
-  if (from_hedge) {
-    hedge_wins_.fetch_add(1);
-  } else if (!it->second.hedged && it->second.attempt <= 1) {
-    hedge_.RecordLatencyUs(clock_->NowUs() - it->second.sent_us);
-  }
   done->emplace_back(std::move(it->second.callback), std::move(msg));
   pending_.erase(it);
 }
@@ -525,7 +480,7 @@ void NetClient::RetryOrFail(uint64_t id, Pending* pending, const Status& reason,
   // Called with mutex_ held. A retry keeps the request id: the server (or
   // a late duplicate response) cannot double-complete because the first
   // response erases the pending entry.
-  const int64_t now = clock_->NowUs();
+  const int64_t now = MonotonicUs();
   const int64_t delay =
       retry_.NextDelayUs(pending->attempt, now, pending->deadline_us);
   if (delay < 0) {
@@ -534,23 +489,12 @@ void NetClient::RetryOrFail(uint64_t id, Pending* pending, const Status& reason,
     return;
   }
   pending->retry_at_us = now + delay;
-  pending->hedged = false;  // the retry may hedge again later
 }
 
-void NetClient::ConnLost(Conn* conn, const Status& reason,
-                         CompletionList* done) {
+void NetClient::ConnLost(const Status& reason, CompletionList* done) {
   // Called with mutex_ held.
-  close(conn->fd);
-  conn->fd = -1;
-  conn->connecting = false;
-  conn->decoder = FrameDecoder(kDefaultMaxPayload);
-  conn->outbound.clear();
-  conn->out_offset = 0;
-
-  if (conn != &primary_) return;  // hedges are best-effort; requests live on
-
-  reconnect_attempt_++;
-  reconnect_at_us_ = clock_->NowUs() + retry_.BackoffUs(reconnect_attempt_);
+  CloseConn();
+  ScheduleReconnect();
   FKD_LOG_EVERY_N(Warning, 16)
       << "net client lost connection to " << options_.host << ":"
       << options_.port << " (" << reason.ToString() << "), reconnecting";

@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/status.h"
 #include "net/retry.h"
 #include "net/wire.h"
@@ -29,26 +28,17 @@ struct NetClientOptions {
   /// Per-request budget when the request itself does not carry one
   /// (deadline_unix_us == 0). Every request ends one way or another within
   /// its budget: a response lost to a mid-stream disconnect times out and
-  /// fails with DeadlineExceeded instead of hanging its slot forever.
+  /// fails with DeadlineExceeded instead of hanging its slot forever. The
+  /// client stamps the budget's end into the request as deadline_unix_us,
+  /// so the server can shed expired work at admission and score against
+  /// the remaining budget (deadline propagation; see ClassifyRequestMsg).
   int64_t default_timeout_us = 5'000'000;
-
-  /// Stamp the absolute deadline into outgoing requests so the server can
-  /// shed expired work at admission and score against the remaining
-  /// budget (deadline propagation; see ClassifyRequestMsg).
-  bool propagate_deadline = true;
 
   /// Retry discipline for every retryable answer (Status::IsRetryable:
   /// Unavailable or IoError, as a response or an error frame) and for
   /// transport failures. The serving engine fails fast, so these are the
   /// only retries a request gets.
   RetryOptions retry;
-
-  /// Hedged requests: a speculative second copy of a slow request on a
-  /// separate connection. Disabled by default.
-  HedgeOptions hedge;
-
-  /// Clock source; tests may inject a FakeClock. Null = Clock::Real().
-  Clock* clock = nullptr;
 };
 
 /// Monotone counters describing a client's lifetime so far. Every Submit
@@ -63,38 +53,34 @@ struct NetClientStats {
                                    ///< loss or a failed batch).
   uint64_t other_errors = 0;       ///< Any other terminal error.
   uint64_t retries = 0;            ///< Resubmissions (backoff or reconnect).
-  uint64_t hedges = 0;             ///< Speculative second attempts launched.
-  uint64_t hedge_wins = 0;         ///< Hedge answered before the primary.
-  uint64_t reconnects = 0;         ///< Primary connections re-established.
+  uint64_t reconnects = 0;         ///< Connections re-established.
   uint64_t timeouts = 0;           ///< Client-side deadline expiries.
 };
 
 /// Resilient asynchronous FKDN/1 classify client: one multiplexed
-/// connection (plus a lazy second one for hedges), per-request deadlines,
-/// retry with deadline-bounded exponential backoff + deterministic jitter
-/// on retryable answers (a shed, a failed batch) and transport failures,
-/// and idempotent resubmission.
+/// connection, per-request deadlines, retry with deadline-bounded
+/// exponential backoff + deterministic jitter on retryable answers (a
+/// shed, a failed batch) and transport failures, and idempotent
+/// resubmission.
 ///
 ///  - **One retry layer** — the client owns the deadline, so it alone
 ///    retries: the engine fails a batch fast and the server never
 ///    resubmits, so attempts never multiply across layers. A sick replica
 ///    is kept out of rotation by the router's quarantine, not by retries.
 ///  - **Request identity** — every logical request keeps one request id
-///    across all its attempts (retries, reconnect resends, hedges). The
+///    across all its attempts (retries, reconnect resends). The
 ///    first response with that id wins and completes the request; any
 ///    later duplicate finds no pending entry and is dropped. Retries can
 ///    therefore never double-count.
-///  - **Deadlines** — each request carries an absolute budget. Locally it
-///    bounds retries (a retry that would wake with no useful budget left
-///    is not sent) and expires the request if no response arrives;
-///    propagated (deadline_unix_us) it lets the server shed expired work
-///    at admission.
-///  - **Connection loss** — the I/O thread reconnects with the same
+///  - **Deadlines** — each request carries one absolute budget, the same
+///    on every attempt. Locally it bounds retries (a retry that would wake
+///    with no useful budget left is not sent) and expires the request if
+///    no response arrives; propagated (deadline_unix_us) it lets the
+///    server shed expired work at admission.
+///  - **Connection loss** — answers already received are read and
+///    delivered first; then the I/O thread reconnects with the same
 ///    backoff discipline and resubmits every pending request whose policy
 ///    still allows an attempt; the rest fail with the transport error.
-///  - **Hedging** — optionally, a request still unanswered after the
-///    observed p99 (or a fixed delay) is sent again on a second
-///    connection; first answer wins, the loser is ignored by id.
 ///
 /// Threading: Submit() may be called from any thread. Callbacks are
 /// invoked on the internal I/O thread and must not block; calling back
@@ -131,7 +117,7 @@ class NetClient {
   const NetClientOptions& options() const { return options_; }
 
  private:
-  /// One of the client's two sockets (primary / hedge).
+  /// The client's one socket and its buffers.
   struct Conn {
     int fd = -1;
     bool connecting = false;  ///< non-blocking connect in flight
@@ -146,12 +132,9 @@ class NetClient {
   struct Pending {
     std::string frame;  ///< encoded request frame (same id, all attempts)
     Callback callback;
-    int64_t sent_us = 0;      ///< first-attempt send time (latency stat)
     int64_t deadline_us = 0;  ///< absolute (monotonic clock) budget end
     int attempt = 0;          ///< completed send attempts
     int64_t retry_at_us = 0;  ///< > 0: resend when the clock reaches this
-    int64_t hedge_at_us = 0;  ///< > 0: hedge when the clock reaches this
-    bool hedged = false;
   };
 
   /// Finished requests collected while mutex_ is held; their callbacks are
@@ -160,18 +143,26 @@ class NetClient {
       std::vector<std::pair<Callback, Result<ClassifyResponseMsg>>>;
 
   void IoMain();
-  /// Fires due timers (expiry, retry, hedge, reconnect); returns the poll
+  /// Fires due timers (expiry, retry, reconnect); returns the poll
   /// timeout in ms until the next one.
   int64_t StepTimers(int64_t now_us, CompletionList* done);
-  void StartConnect(Conn* conn);
-  void FinishConnect(Conn* conn);
-  void HandleReadable(Conn* conn, CompletionList* done);
-  void FlushConn(Conn* conn, CompletionList* done);
-  /// Tears down `conn`; if it is the primary, reroutes every in-flight
-  /// request through the retry policy (resubmit or fail).
-  void ConnLost(Conn* conn, const Status& reason, CompletionList* done);
+  void StartConnect();
+  void FinishConnect();
+  /// Bookkeeping of a connect that succeeded: resets the reconnect backoff.
+  void OnConnected();
+  /// Books a failed (re)connect and schedules the next try with backoff.
+  void ScheduleReconnect();
+  /// Closes the socket and drops its partial frames and unsent bytes.
+  void CloseConn();
+  /// Drains the socket and delivers every complete frame, then tears the
+  /// connection down if the read hit EOF or an error.
+  void HandleReadable(CompletionList* done);
+  void FlushConn(CompletionList* done);
+  /// Tears down the connection and reroutes every in-flight request
+  /// through the retry policy (resubmit or fail).
+  void ConnLost(const Status& reason, CompletionList* done);
   void HandleResponse(uint64_t request_id, const std::string& payload,
-                      bool from_hedge, CompletionList* done);
+                      CompletionList* done);
   /// Schedules a retry for `id` or fails it when the policy says no.
   void RetryOrFail(uint64_t id, Pending* pending, const Status& reason,
                    CompletionList* done);
@@ -179,22 +170,19 @@ class NetClient {
   void CountOutcome(const Result<ClassifyResponseMsg>& result);
 
   NetClientOptions options_;
-  Clock* clock_;
   RetryPolicy retry_;
-  HedgeTracker hedge_;
 
   std::thread io_thread_;
   int wake_fd_ = -1;
   std::atomic<bool> started_{false};
   std::atomic<bool> stop_{false};
 
-  /// Guards pending_, the conns' outbound buffers and reconnect state.
-  /// The I/O thread does all socket syscalls; Submit only appends to
-  /// pending_/outbound and wakes it.
+  /// Guards pending_, the connection's outbound buffer and reconnect
+  /// state. The I/O thread does all socket syscalls; Submit only appends
+  /// to pending_/outbound and wakes it.
   mutable std::mutex mutex_;
   std::map<uint64_t, Pending> pending_;
-  Conn primary_;
-  Conn hedge_conn_;
+  Conn conn_;
   int64_t reconnect_at_us_ = 0;  ///< > 0: next connect attempt time
   int reconnect_attempt_ = 0;
   std::atomic<uint64_t> next_id_{1};
@@ -206,8 +194,6 @@ class NetClient {
   std::atomic<uint64_t> transport_errors_{0};
   std::atomic<uint64_t> other_errors_{0};
   std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> hedges_{0};
-  std::atomic<uint64_t> hedge_wins_{0};
   std::atomic<uint64_t> reconnects_{0};
   std::atomic<uint64_t> timeouts_{0};
 };

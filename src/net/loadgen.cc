@@ -15,6 +15,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/clock.h"
 #include "common/string_util.h"
 #include "net/client.h"
 #include "obs/metrics.h"
@@ -23,12 +24,6 @@ namespace fkd {
 namespace net {
 
 namespace {
-
-int64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 Result<int> ConnectTo(const std::string& host, int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -82,7 +77,7 @@ Result<Frame> RoundTrip(const std::string& host, int port,
     return write_status;
   }
   FrameDecoder decoder;
-  const int64_t deadline_us = NowUs() + timeout_ms * 1000;
+  const int64_t deadline_us = MonotonicUs() + timeout_ms * 1000;
   char chunk[16 * 1024];
   for (;;) {
     Frame frame;
@@ -96,7 +91,7 @@ Result<Frame> RoundTrip(const std::string& host, int port,
       ::close(fd);
       return frame;
     }
-    const int64_t remaining_ms = (deadline_us - NowUs()) / 1000;
+    const int64_t remaining_ms = (deadline_us - MonotonicUs()) / 1000;
     if (remaining_ms <= 0) {
       ::close(fd);
       return Status::DeadlineExceeded("timed out waiting for response frame");
@@ -141,8 +136,6 @@ struct SharedState {
   std::atomic<uint64_t> io_errors{0};
   std::atomic<uint64_t> timeouts{0};
   std::atomic<uint64_t> retries{0};
-  std::atomic<uint64_t> hedges{0};
-  std::atomic<uint64_t> hedge_wins{0};
   obs::Histogram latency_us;
   /// Measured window, steady-clock us: samples outside are dropped.
   int64_t window_start_us = 0;
@@ -150,7 +143,7 @@ struct SharedState {
 };
 
 /// One connection's sending loop, built on the resilient NetClient: the
-/// client owns per-request timeouts, retries and (optionally) hedging, so
+/// client owns per-request timeouts and retries, so
 /// a response lost on the wire times out and frees its window slot instead
 /// of wedging the worker forever. Runs until past window_end + drain.
 void Worker(const LoadGenOptions& options, size_t index, SharedState* shared) {
@@ -180,7 +173,6 @@ void Worker(const LoadGenOptions& options, size_t index, SharedState* shared) {
   client_options.retry = options.retry;
   // Decorrelate jitter across connections without losing determinism.
   client_options.retry.seed += index;
-  client_options.hedge = options.hedge;
   NetClient client(client_options);
   if (!client.Start().ok()) {
     shared->connect_failures.fetch_add(1, std::memory_order_relaxed);
@@ -209,7 +201,7 @@ void Worker(const LoadGenOptions& options, size_t index, SharedState* shared) {
       msg.text +=
           StrFormat(" #%llu", static_cast<unsigned long long>(nonce));
     }
-    const int64_t sent_at = NowUs();
+    const int64_t sent_at = MonotonicUs();
     if (sent_at >= shared->window_start_us && sent_at < send_end_us) {
       shared->sent.fetch_add(1, std::memory_order_relaxed);
     }
@@ -219,7 +211,7 @@ void Worker(const LoadGenOptions& options, size_t index, SharedState* shared) {
     }
     client.Submit(std::move(msg), [&, sent_at](
                                       Result<ClassifyResponseMsg> result) {
-      const int64_t now = NowUs();
+      const int64_t now = MonotonicUs();
       const bool measured =
           now >= shared->window_start_us && now < shared->window_end_us;
       StatusCode code = StatusCode::kOk;
@@ -261,7 +253,7 @@ void Worker(const LoadGenOptions& options, size_t index, SharedState* shared) {
 
   {
     std::unique_lock<std::mutex> lock(mutex);
-    while (NowUs() < send_end_us) {
+    while (MonotonicUs() < send_end_us) {
       if (outstanding >= options.window) {
         cv.wait_for(lock, std::chrono::milliseconds(100),
                     [&] { return outstanding < options.window; });
@@ -275,7 +267,7 @@ void Worker(const LoadGenOptions& options, size_t index, SharedState* shared) {
     // Drain: per-request timeouts guarantee progress, so everything
     // resolves by send_end + request_timeout; the drain budget just caps
     // our patience.
-    while (outstanding > 0 && NowUs() < drain_end_us) {
+    while (outstanding > 0 && MonotonicUs() < drain_end_us) {
       cv.wait_for(lock, std::chrono::milliseconds(50));
     }
     if (outstanding > 0) {
@@ -288,8 +280,6 @@ void Worker(const LoadGenOptions& options, size_t index, SharedState* shared) {
   const NetClientStats stats = client.Stats();
   shared->timeouts.fetch_add(stats.timeouts, std::memory_order_relaxed);
   shared->retries.fetch_add(stats.retries, std::memory_order_relaxed);
-  shared->hedges.fetch_add(stats.hedges, std::memory_order_relaxed);
-  shared->hedge_wins.fetch_add(stats.hedge_wins, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -306,8 +296,8 @@ std::string LoadGenReport::ToJson() const {
       "\"sent\": %llu, \"ok\": %llu, \"errors\": %llu, \"shed\": %llu, "
       "\"deadline_exceeded\": %llu, \"from_cache\": %llu, "
       "\"connect_failures\": %llu, \"io_errors\": %llu, "
-      "\"timeouts\": %llu, \"retries\": %llu, \"hedges\": %llu, "
-      "\"hedge_wins\": %llu, \"achieved_qps\": %.2f, \"p50_us\": %.1f, "
+      "\"timeouts\": %llu, \"retries\": %llu, "
+      "\"achieved_qps\": %.2f, \"p50_us\": %.1f, "
       "\"p90_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f, "
       "\"mean_us\": %.1f, \"max_us\": %.1f}",
       connections, window, static_cast<long long>(duration_ms),
@@ -321,10 +311,8 @@ std::string LoadGenReport::ToJson() const {
       static_cast<unsigned long long>(connect_failures),
       static_cast<unsigned long long>(io_errors),
       static_cast<unsigned long long>(timeouts),
-      static_cast<unsigned long long>(retries),
-      static_cast<unsigned long long>(hedges),
-      static_cast<unsigned long long>(hedge_wins), achieved_qps, p50_us,
-      p90_us, p99_us, p999_us, mean_us, max_us);
+      static_cast<unsigned long long>(retries), achieved_qps, p50_us, p90_us,
+      p99_us, p999_us, mean_us, max_us);
 }
 
 Result<LoadGenReport> RunLoadGen(const LoadGenOptions& options) {
@@ -335,7 +323,7 @@ Result<LoadGenReport> RunLoadGen(const LoadGenOptions& options) {
     return Status::InvalidArgument("loadgen needs at least one connection");
   }
   SharedState shared;
-  shared.window_start_us = NowUs() + options.warmup_ms * 1000;
+  shared.window_start_us = MonotonicUs() + options.warmup_ms * 1000;
   shared.window_end_us = shared.window_start_us + options.duration_ms * 1000;
 
   std::vector<std::thread> workers;
@@ -366,8 +354,6 @@ Result<LoadGenReport> RunLoadGen(const LoadGenOptions& options) {
   report.io_errors = shared.io_errors.load();
   report.timeouts = shared.timeouts.load();
   report.retries = shared.retries.load();
-  report.hedges = shared.hedges.load();
-  report.hedge_wins = shared.hedge_wins.load();
   report.achieved_qps =
       static_cast<double>(report.ok) /
       (static_cast<double>(options.duration_ms) / 1000.0);
@@ -383,14 +369,14 @@ Result<LoadGenReport> RunLoadGen(const LoadGenOptions& options) {
 }
 
 Result<int64_t> Ping(const std::string& host, int port) {
-  const int64_t start_us = NowUs();
+  const int64_t start_us = MonotonicUs();
   FKD_ASSIGN_OR_RETURN(Frame frame,
                        RoundTrip(host, port, MessageType::kPing, ""));
   if (frame.type != MessageType::kPong) {
     return Status::Internal(StrFormat("expected kPong, got %s",
                                       MessageTypeName(frame.type)));
   }
-  return NowUs() - start_us;
+  return MonotonicUs() - start_us;
 }
 
 Result<uint64_t> RequestSwap(const std::string& host, int port) {

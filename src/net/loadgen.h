@@ -28,7 +28,7 @@ struct LoadGenOptions {
   /// Ramp-up excluded from every reported number.
   int64_t warmup_ms = 1000;
   /// Per-request engine deadline forwarded in each ClassifyRequest (0 =
-  /// server default).
+  /// none; the propagated client budget still bounds every request).
   int64_t deadline_us = 0;
   /// Request bodies, cycled round-robin per connection. Must be non-empty.
   std::vector<ClassifyRequestMsg> corpus;
@@ -45,8 +45,6 @@ struct LoadGenOptions {
   /// Retry discipline of the underlying NetClient (attempts, backoff,
   /// jitter seed). Each connection decorrelates the seed by its index.
   RetryOptions retry;
-  /// Hedging policy of the underlying NetClient. Disabled by default.
-  HedgeOptions hedge;
 };
 
 /// Outcome of a run. Terminal-outcome counters (sent/ok/errors/shed/
@@ -72,8 +70,6 @@ struct LoadGenReport {
   // client worked to produce the numbers above.
   uint64_t timeouts = 0;  ///< client-side per-request deadline expiries
   uint64_t retries = 0;   ///< backoff/reconnect resubmissions
-  uint64_t hedges = 0;    ///< speculative second attempts launched
-  uint64_t hedge_wins = 0;
 
   double achieved_qps = 0.0;  ///< ok responses per second of window
   double p50_us = 0.0;

@@ -1,5 +1,7 @@
 #include "net/retry.h"
 
+#include <algorithm>
+
 namespace fkd {
 namespace net {
 
@@ -30,43 +32,6 @@ int64_t RetryPolicy::NextDelayUs(int attempt, int64_t now_us,
     if (wake_us + kMinUsefulBudgetUs >= deadline_us) return -1;
   }
   return delay;
-}
-
-HedgeTracker::HedgeTracker(const HedgeOptions& options) : options_(options) {
-  if (options_.window == 0) options_.window = 1;
-  ring_.reserve(options_.window);
-}
-
-void HedgeTracker::RecordLatencyUs(int64_t latency_us) {
-  if (!enabled() || options_.hedge_percentile <= 0.0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.size() < options_.window) {
-    ring_.push_back(latency_us);
-  } else {
-    ring_[next_] = latency_us;
-  }
-  next_ = (next_ + 1) % options_.window;
-  ++count_;
-}
-
-int64_t HedgeTracker::HedgeDelayUs() const {
-  if (options_.hedge_fixed_us > 0) return options_.hedge_fixed_us;
-  if (options_.hedge_percentile <= 0.0) return -1;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (count_ < options_.min_samples || ring_.empty()) return -1;
-  // nth_element over a copy of the (small) ring: exact percentile of the
-  // recent window, no bucketing error near the tail where hedging lives.
-  std::vector<int64_t> sorted = ring_;
-  const double p = std::clamp(options_.hedge_percentile, 0.0, 1.0);
-  size_t idx = static_cast<size_t>(p * static_cast<double>(sorted.size()));
-  if (idx >= sorted.size()) idx = sorted.size() - 1;
-  std::nth_element(sorted.begin(), sorted.begin() + idx, sorted.end());
-  return sorted[idx];
-}
-
-size_t HedgeTracker::samples() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return count_;
 }
 
 }  // namespace net

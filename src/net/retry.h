@@ -1,10 +1,7 @@
 #ifndef FKD_NET_RETRY_H_
 #define FKD_NET_RETRY_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <mutex>
-#include <vector>
 
 #include "common/rng.h"
 
@@ -12,8 +9,8 @@ namespace fkd {
 namespace net {
 
 /// Retry discipline for the resilient NetClient. Pure state-machine math —
-/// no clocks, no sleeps, no sockets — so unit tests drive it with a
-/// FakeClock and assert exact microsecond schedules.
+/// no clocks, no sleeps, no sockets — so unit tests pass the time in and
+/// assert exact microsecond schedules.
 struct RetryOptions {
   /// Total tries including the first (1 = no retries).
   int max_attempts = 4;
@@ -67,48 +64,6 @@ class RetryPolicy {
  private:
   RetryOptions options_;
   Rng rng_;
-};
-
-/// Hedging decision: when to launch a speculative second attempt for a
-/// request whose first attempt is slow. Modes:
-///   - disabled (hedge_fixed_us == 0 and hedge_percentile == 0)
-///   - fixed: hedge after a constant delay
-///   - percentile: hedge after the observed p<hedge_percentile> latency,
-///     once at least `min_samples` completions have been recorded.
-///
-/// Thread-safe: completions arrive from the client's I/O thread while
-/// senders ask for the threshold.
-struct HedgeOptions {
-  int64_t hedge_fixed_us = 0;     ///< Fixed hedge delay; 0 = not fixed mode.
-  double hedge_percentile = 0.0;  ///< e.g. 0.99; 0 = not percentile mode.
-  size_t min_samples = 32;        ///< Completions required before hedging.
-  size_t window = 1024;           ///< Ring of recent latencies kept.
-};
-
-class HedgeTracker {
- public:
-  explicit HedgeTracker(const HedgeOptions& options = {});
-
-  bool enabled() const {
-    return options_.hedge_fixed_us > 0 || options_.hedge_percentile > 0.0;
-  }
-
-  /// Records one completed-request latency (only successful first attempts
-  /// should be fed in; hedged wins would bias the percentile down).
-  void RecordLatencyUs(int64_t latency_us);
-
-  /// Delay after which an in-flight request should hedge, or -1 when
-  /// hedging is off / not yet warmed up.
-  int64_t HedgeDelayUs() const;
-
-  size_t samples() const;
-
- private:
-  HedgeOptions options_;
-  mutable std::mutex mutex_;
-  std::vector<int64_t> ring_;  // capacity options_.window
-  size_t next_ = 0;            // ring write cursor
-  size_t count_ = 0;           // total recorded (saturating at window for size)
 };
 
 }  // namespace net

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/clock.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -73,37 +74,17 @@ std::string EncodeControlReply(MessageType type, uint64_t request_id,
 /// flushes its pending writes at the end of the current iteration.
 thread_local const void* tls_loop = nullptr;
 
+/// Monotonic milliseconds: the timescale of the idle sweep and the accept
+/// pause.
+int64_t NowMs() { return MonotonicUs() / 1000; }
+
 }  // namespace
-
-int64_t Server::NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int64_t Server::NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int64_t Server::WallNowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
 
 Server::Server(serve::Router* router, ServerOptions options)
     : router_(router), options_(std::move(options)) {
   FKD_CHECK(router_ != nullptr);
   FKD_CHECK_GT(options_.event_loops, 0u);
   FKD_CHECK_GT(options_.max_inflight, 0u);
-  resolved_shed_depth_ =
-      options_.shed_queue_depth > 0
-          ? options_.shed_queue_depth
-          : (3 * router_->options().num_replicas *
-             router_->options().engine.max_queue_depth) / 4;
-  if (resolved_shed_depth_ == 0) resolved_shed_depth_ = 1;
 
   recorder_ = &obs::FlightRecorder::Get();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
@@ -198,7 +179,6 @@ Status Server::Start() {
   FKD_LOG(Info) << "net server listening on " << options_.host << ":"
                 << bound_port_ << " (" << options_.event_loops
                 << " event loops, max_inflight " << options_.max_inflight
-                << ", shed at engine queue depth " << resolved_shed_depth_
                 << ")";
   return Status::OK();
 }
@@ -486,7 +466,7 @@ Status Server::Admit(uint64_t request_id, const ClassifyRequestMsg& msg,
   // Survivors carry their *remaining* budget into the engine.
   *remaining_budget_us = 0;  // 0 = no absolute deadline
   if (msg.deadline_unix_us > 0) {
-    *remaining_budget_us = msg.deadline_unix_us - WallNowUs();
+    *remaining_budget_us = msg.deadline_unix_us - WallUs();
     if (*remaining_budget_us <= 0) {
       const auto late_us = static_cast<uint64_t>(-*remaining_budget_us);
       deadline_shed_.fetch_add(1, std::memory_order_relaxed);
@@ -498,22 +478,13 @@ Status Server::Admit(uint64_t request_id, const ClassifyRequestMsg& msg,
     }
   }
   // Bounded in-flight budget: the one knob that caps the server's queued
-  // work no matter how many connections pile on.
+  // work no matter how many connections pile on. The client retries the
+  // shed under its own budget.
   if (inflight_now > options_.max_inflight) {
     return shed(FlightEventType::kNetShed, inflight_now,
                 Status::Unavailable(StrFormat(
                     "server at capacity (%zu requests in flight)",
                     inflight_now - 1)));
-  }
-  // Queue-depth-aware early shed: when the engines are already saturated,
-  // refusing here is strictly better than queueing work the deadline will
-  // kill anyway. The client retries the shed under its own budget.
-  const size_t engine_depth = router_->QueueDepth();
-  if (engine_depth >= resolved_shed_depth_) {
-    return shed(FlightEventType::kNetShed, engine_depth,
-                Status::Unavailable(StrFormat(
-                    "engine queues saturated (depth %zu >= %zu)",
-                    engine_depth, resolved_shed_depth_)));
   }
   return Status::OK();
 }
@@ -524,7 +495,7 @@ void Server::HandleClassify(const ConnectionPtr& conn, const Frame& frame) {
   // both are sequentially consistent, as are Shutdown's store of draining_
   // and its later reads of inflight_. So either this frame sees the drain
   // and is shed, or Shutdown sees the slot and waits for the answer.
-  const int64_t t0_us = NowUs();
+  const int64_t t0_us = MonotonicUs();
   const uint64_t request_id = frame.request_id;
   conn->inflight.fetch_add(1, std::memory_order_acq_rel);
   const size_t inflight_now = inflight_.fetch_add(1) + 1;
@@ -580,7 +551,7 @@ void Server::FinishClassify(const ConnectionPtr& conn, uint64_t request_id,
     responses_dropped_.fetch_add(1, std::memory_order_relaxed);
     responses_dropped_total_->Increment();
   }
-  request_us_->Observe(static_cast<double>(NowUs() - t0_us));
+  request_us_->Observe(static_cast<double>(MonotonicUs() - t0_us));
   conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
   ReleaseSlot();
 }

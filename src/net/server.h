@@ -34,13 +34,10 @@ struct ServerOptions {
   size_t event_loops = 2;
   /// Accepted connections beyond this are closed immediately.
   size_t max_connections = 1024;
-  /// Admission budget: classify frames beyond this many in flight across
-  /// the whole server are shed with Unavailable before touching the Router.
+  /// Admission budget, the one admission bound on the wire: classify
+  /// frames beyond this many in flight across the whole server are shed
+  /// with Unavailable before touching the Router.
   size_t max_inflight = 256;
-  /// Early shedding: classify frames are also shed while the Router's
-  /// aggregate engine queue depth is at or beyond this. 0 derives
-  /// 3/4 * num_replicas * max_queue_depth from the router options.
-  size_t shed_queue_depth = 0;
   /// Connections idle (or dribbling an incomplete frame — slow loris) for
   /// longer than this are closed. <= 0 disables the sweep.
   int64_t idle_timeout_ms = 60000;
@@ -93,9 +90,9 @@ struct ServerStats {
 /// socket) plus one control thread for swap/canary frames. The read path
 /// runs entirely on the connection's event loop: drain the socket, feed
 /// the incremental FrameDecoder, dispatch each frame. A classify frame
-/// passes **admission control** — server draining? in-flight budget
-/// exhausted? router queue depth beyond the shed threshold? — and only
-/// then becomes a Router::Submit with a completion callback. Results are
+/// passes **admission control** — server draining? deadline already
+/// expired? in-flight budget exhausted? — and only then becomes a
+/// Router::Submit with a completion callback. Results are
 /// pushed, never waited for: the callback (FinishClassify) encodes the
 /// response into the connection's outbound buffer wherever the result
 /// appears. A cache hit completes inside Submit on the connection's own
@@ -255,15 +252,8 @@ class Server {
   void SweepIdle(EventLoop* loop, int64_t now_ms);
   void WakeLoop(EventLoop* loop);
 
-  static int64_t NowMs();
-  static int64_t NowUs();
-  /// Wall-clock us since the Unix epoch — the timescale of the client's
-  /// absolute deadline (deadline_unix_us in ClassifyRequestMsg).
-  static int64_t WallNowUs();
-
   serve::Router* router_;
   ServerOptions options_;
-  size_t resolved_shed_depth_ = 0;
 
   int listen_fd_ = -1;
   int bound_port_ = 0;

@@ -68,10 +68,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const Snapshot> snapshot,
   queue_us_ = registry.GetHistogram("fkd.serve.queue_us");
   batch_form_us_ = registry.GetHistogram("fkd.serve.batch_form_us");
   compute_us_ = registry.GetHistogram("fkd.serve.compute_us");
-  // Engines share one labelled gauge (last writer wins across replicas);
-  // the Router owns the unlabelled aggregate identity.
-  queue_depth_ =
-      registry.GetGauge("fkd.serve.queue_depth", {{"scope", "engine"}});
 }
 
 InferenceEngine::~InferenceEngine() { Stop(); }
@@ -113,8 +109,6 @@ void InferenceEngine::Stop() {
         orphaned.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      depth_.store(0, std::memory_order_relaxed);
-      queue_depth_->Set(0.0);
     }
   }
   queue_cv_.notify_all();
@@ -150,12 +144,9 @@ Status InferenceEngine::Submit(ArticleRequest request,
 
   Pending pending;
   pending.submitted_at = Clock::now();
-  const int64_t deadline_us = request.deadline_us > 0
-                                  ? request.deadline_us
-                                  : options_.default_deadline_us;
-  pending.deadline = deadline_us > 0
+  pending.deadline = request.deadline_us > 0
                          ? pending.submitted_at +
-                               std::chrono::microseconds(deadline_us)
+                               std::chrono::microseconds(request.deadline_us)
                          : Clock::time_point::max();
   pending.request = std::move(request);
   pending.done = std::move(done);
@@ -179,8 +170,6 @@ Status InferenceEngine::Submit(ArticleRequest request,
     }
     queue_.push_back(std::move(pending));
     depth_after = queue_.size();
-    depth_.store(depth_after, std::memory_order_relaxed);
-    queue_depth_->Set(static_cast<double>(depth_after));
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
   recorder_->Record(FlightEventType::kEngineEnqueue, request_id, depth_after);
@@ -215,8 +204,6 @@ void InferenceEngine::WorkerLoop() {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      depth_.store(queue_.size(), std::memory_order_relaxed);
-      queue_depth_->Set(static_cast<double>(queue_.size()));
     }
     // Leftover work may remain; let a sibling (or the next loop turn) have
     // it without waiting for another Submit's notify.

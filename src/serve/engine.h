@@ -32,7 +32,7 @@ struct ArticleRequest {
   std::vector<int32_t> subject_ids;
   /// Per-request deadline in microseconds from Submit(); the request fails
   /// with DeadlineExceeded instead of blocking forever once it lapses.
-  /// 0 falls back to EngineOptions::default_deadline_us.
+  /// 0 = no deadline.
   int64_t deadline_us = 0;
 
   // --- request context (observability) ---------------------------------
@@ -99,10 +99,10 @@ struct EngineOptions {
   size_t max_batch_size = 16;
   /// How long a worker holding one request waits for more to batch with.
   int64_t max_batch_delay_us = 2000;
-  /// Bounded queue: Submit() rejects with Unavailable beyond this depth.
+  /// Bounded queue: Submit() rejects with Unavailable beyond this depth —
+  /// the backstop for in-process callers; the network front end's
+  /// in-flight budget bounds wire traffic well below it.
   size_t max_queue_depth = 256;
-  /// Deadline applied to requests that set none (0 = no deadline).
-  int64_t default_deadline_us = 0;
   /// Stamped into every Classification::model_version this engine fulfils.
   /// A Router sets it to the snapshot version the engine serves, so callers
   /// (and the hot-swap tests) can attribute each response to a version.
@@ -178,10 +178,9 @@ struct EngineStats {
 /// (counter, labelled result=ok|rejected|expired|failed|unavailable),
 /// fkd.serve.batch_size, fkd.serve.latency_us, fkd.serve.queue_us,
 /// fkd.serve.batch_form_us and fkd.serve.compute_us (HDR histograms; read
-/// p50/p99/p999 via Histogram::Percentile), and
-/// fkd.serve.queue_depth{scope=engine} (gauge; the Router publishes the
-/// cross-replica aggregate as plain fkd.serve.queue_depth). Every request
-/// also leaves lifecycle
+/// p50/p99/p999 via Histogram::Percentile); the queue depth is
+/// EngineStats::queue_depth, which the Router's health monitor sums into
+/// the fkd.serve.queue_depth gauge. Every request also leaves lifecycle
 /// events in the obs::FlightRecorder, and — with tracing runtime-enabled —
 /// slow requests leave per-stage chrome-trace spans (see
 /// EngineOptions::slow_trace_us).
@@ -213,13 +212,6 @@ class InferenceEngine {
   Result<ClassificationFuture> Submit(ArticleRequest request);
 
   EngineStats Stats() const;
-  /// Lock-free queue depth, maintained alongside every push/pop. Cheap
-  /// enough for per-request admission-control reads (the network front end
-  /// polls it on every classify), unlike Stats() which takes the engine
-  /// mutex.
-  size_t queue_depth() const {
-    return depth_.load(std::memory_order_relaxed);
-  }
   /// True once Stop() has begun: the engine takes no new work and is being
   /// replaced or shut down, not sick.
   bool draining() const;
@@ -252,8 +244,6 @@ class InferenceEngine {
   mutable std::mutex mutex_;
   std::condition_variable queue_cv_;
   std::deque<Pending> queue_;
-  /// Mirrors queue_.size() (updated under mutex_, read lock-free).
-  std::atomic<size_t> depth_{0};
   std::vector<std::thread> workers_;
   bool started_ = false;
   bool stopping_ = false;
@@ -283,7 +273,6 @@ class InferenceEngine {
   obs::Histogram* queue_us_;
   obs::Histogram* batch_form_us_;
   obs::Histogram* compute_us_;
-  obs::Gauge* queue_depth_;
 };
 
 }  // namespace serve

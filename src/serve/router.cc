@@ -421,8 +421,9 @@ void Router::MonitorMain() {
       primary = primary_;
       canary = canary_;
     }
-    MonitorGeneration(primary, &history);
-    MonitorGeneration(canary, &history);
+    const size_t queued = MonitorGeneration(primary, &history) +
+                          MonitorGeneration(canary, &history);
+    queue_depth_gauge_->Set(static_cast<double>(queued));
     // Drop bookkeeping for engines of drained generations: a dangling key
     // is never dereferenced, but a recycled allocation must not inherit a
     // dead replica's history.
@@ -450,14 +451,16 @@ void Router::MonitorMain() {
   }
 }
 
-void Router::MonitorGeneration(
+size_t Router::MonitorGeneration(
     const std::shared_ptr<Generation>& generation,
     std::unordered_map<const InferenceEngine*, ReplicaHealth>* history) {
-  if (generation == nullptr) return;
+  if (generation == nullptr) return 0;
+  size_t queued = 0;
   for (size_t r = 0; r < generation->engines.size(); ++r) {
     InferenceEngine* engine = generation->engines[r].get();
     ReplicaHealth& health = (*history)[engine];
     const EngineStats now = engine->Stats();
+    queued += now.queue_depth;
     if (engine->draining()) {
       health.prev = now;
       health.seeded = true;
@@ -534,30 +537,12 @@ void Router::MonitorGeneration(
     health.prev = now;
     health.seeded = true;
   }
+  return queued;
 }
 
 uint64_t Router::active_version() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return primary_ != nullptr ? primary_->model->version : 0;
-}
-
-size_t Router::QueueDepth() const {
-  std::shared_ptr<Generation> primary;
-  std::shared_ptr<Generation> canary;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    primary = primary_;
-    canary = canary_;
-  }
-  size_t depth = 0;
-  for (const auto& generation : {primary, canary}) {
-    if (generation == nullptr) continue;
-    for (const auto& engine : generation->engines) {
-      depth += engine->queue_depth();
-    }
-  }
-  queue_depth_gauge_->Set(static_cast<double>(depth));
-  return depth;
 }
 
 RouterStats Router::Stats() const {

@@ -130,8 +130,10 @@ struct RouterStats {
 ///
 /// Instrumentation (obs::MetricsRegistry::Default()): fkd.serve.cache_hit,
 /// fkd.serve.cache_miss, fkd.serve.canary and fkd.serve.swap counters, the
-/// fkd.serve.active_version gauge, and a "serve/swap" trace span around
-/// every publish (FKD_ENABLE_TRACING builds).
+/// fkd.serve.active_version gauge, the fkd.serve.queue_depth gauge (requests
+/// queued across the primary and canary engines, published by the health
+/// monitor every interval) and a "serve/swap" trace span around every
+/// publish (FKD_ENABLE_TRACING builds).
 ///
 /// Thread-safe: Submit may race with Publish/StartCanary/PromoteCanary —
 /// that is the point.
@@ -181,14 +183,6 @@ class Router {
 
   RouterStats Stats() const;
 
-  /// Aggregate engine queue depth across the primary and canary fleets —
-  /// the admission-control signal the network front end sheds on. Reads
-  /// each engine's lock-free depth counter; takes the router mutex only to
-  /// pin the generation pointers. Also published as the unlabelled
-  /// fkd.serve.queue_depth gauge on every call (the per-engine gauge
-  /// carries the scope=engine label).
-  size_t QueueDepth() const;
-
   /// Current primary version (0 before Start).
   uint64_t active_version() const;
   const RouterOptions& options() const { return options_; }
@@ -234,12 +228,13 @@ class Router {
   void MonitorMain();
   /// One monitor pass over `generation`; `history` is the monitor-local
   /// per-engine bookkeeping (previous stats snapshot, probe streak).
+  /// Returns the requests queued on the generation's engines.
   struct ReplicaHealth {
     EngineStats prev;
     int probe_streak = 0;
     bool seeded = false;  ///< prev is a real baseline, not zero-init
   };
-  void MonitorGeneration(
+  size_t MonitorGeneration(
       const std::shared_ptr<Generation>& generation,
       std::unordered_map<const InferenceEngine*, ReplicaHealth>* history);
 

@@ -1,4 +1,3 @@
-#include <chrono>
 #include <cmath>
 #include <set>
 
@@ -424,46 +423,15 @@ TEST(LoggingTest, MessagesBelowMinLevelAreSuppressed) {
   EXPECT_EQ(output.find("should not appear"), std::string::npos);
 }
 
-// ---- Clock / FakeClock ------------------------------------------------------
+// ---- Clock ------------------------------------------------------------------
 
 TEST(ClockTest, RealClockIsMonotonicAndWallIsPlausible) {
-  Clock* clock = Clock::Real();
-  const int64_t a = clock->NowUs();
-  const int64_t b = clock->NowUs();
+  const int64_t a = MonotonicUs();
+  const int64_t b = MonotonicUs();
   EXPECT_GE(b, a);
   // Wall time is microseconds since the Unix epoch: anything after
   // 2020-01-01 (1577836800s) is "the clock is set at all".
-  EXPECT_GT(clock->WallUs(), 1577836800LL * 1000000LL);
-  EXPECT_EQ(clock, Clock::Real()) << "Real() must be a stable singleton";
-}
-
-TEST(ClockTest, FakeClockOnlyMovesWhenDriven) {
-  FakeClock clock(1000, 500000);
-  EXPECT_EQ(clock.NowUs(), 1000);
-  EXPECT_EQ(clock.WallUs(), 500000);
-  clock.Advance(250);
-  EXPECT_EQ(clock.NowUs(), 1250);
-  EXPECT_EQ(clock.WallUs(), 500250);
-  // Time never passes on its own.
-  EXPECT_EQ(clock.NowUs(), 1250);
-}
-
-TEST(ClockTest, FakeSleepAdvancesInstantlyAndIsRecorded) {
-  FakeClock clock;
-  const auto start = std::chrono::steady_clock::now();
-  clock.SleepUs(30'000'000);  // would be 30 real seconds
-  clock.SleepUs(10'000'000);
-  clock.SleepUs(0);   // no-ops are not recorded
-  clock.SleepUs(-5);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            1000)
-      << "fake sleeps must not block";
-  EXPECT_EQ(clock.NowUs(), 40'000'000);
-  EXPECT_EQ(clock.WallUs(), 40'000'000);
-  EXPECT_EQ(clock.total_slept_us(), 40'000'000);
-  EXPECT_EQ(clock.sleep_calls(), 2);
+  EXPECT_GT(WallUs(), 1577836800LL * 1000000LL);
 }
 
 }  // namespace

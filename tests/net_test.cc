@@ -639,13 +639,14 @@ TEST(NetServerTest, CorruptHeaderOnTheWireIsCaught) {
   EXPECT_EQ(harness->server->Stats().protocol_errors, 1u);
 }
 
-TEST(NetServerTest, AdmissionControlShedsWhenEngineQueueSaturated) {
+TEST(NetServerTest, AdmissionControlShedsBeyondTheInflightBudget) {
   ServerOptions server_options;
-  server_options.shed_queue_depth = 4;
+  server_options.max_inflight = 4;
   serve::RouterOptions router_options = FastRouterOptions();
-  // One slow-forming batch pipeline: the worker waits 200 ms for
-  // stragglers, so pipelined unique requests pile up in the queue.
-  router_options.engine.max_batch_size = 4;
+  // One slow-forming batch: the worker waits 200 ms for stragglers that
+  // never fill it, so the first four requests hold their in-flight slots
+  // while the rest of the pipelined burst arrives.
+  router_options.engine.max_batch_size = 16;
   router_options.engine.max_batch_delay_us = 200000;
   router_options.cache_capacity = 0;  // every request must hit the engine
   auto harness = StartHarness(server_options, router_options);
@@ -676,10 +677,10 @@ TEST(NetServerTest, AdmissionControlShedsWhenEngineQueueSaturated) {
       ++shed;
     }
   }
-  // Every request answered, some explicitly shed — never a hang or drop.
-  EXPECT_EQ(ok + shed, kRequests);
-  EXPECT_GT(shed, 0u) << "expected queue-depth shedding under the burst";
-  EXPECT_GT(ok, 0u);
+  // Every request answered: the budget's worth served, the rest explicitly
+  // shed — never a hang or a drop.
+  EXPECT_EQ(ok, server_options.max_inflight);
+  EXPECT_EQ(shed, kRequests - server_options.max_inflight);
   const ServerStats stats = harness->server->Stats();
   EXPECT_EQ(stats.shed, shed);
   EXPECT_EQ(stats.classify_frames, kRequests);
@@ -875,13 +876,6 @@ TEST(NetServerTest, ReloadHandlersRetireEveryReplacedVersion) {
   EXPECT_EQ(harness->server->Stats().swaps, 10u);
 }
 
-TEST(NetServerTest, QueueDepthSignalIsZeroAtRest) {
-  auto harness = StartHarness();
-  TestClient client(harness->server->bound_port());
-  ASSERT_TRUE(client.Classify(SampleText(8), 1).ok());
-  EXPECT_EQ(harness->router->QueueDepth(), 0u);
-}
-
 // ==== NetShutdownTest: graceful drain ========================================
 
 TEST(NetShutdownTest, DrainFlushesEveryAcceptedRequest) {
@@ -1002,8 +996,8 @@ class ScriptedServer {
 
  private:
   void Serve() {
-    // One thread per connection so a deliberately stalled connection (the
-    // hedge tests) cannot block the accept loop.
+    // One thread per connection, so a connection the script leaves
+    // unanswered cannot block the accept loop.
     while (!stop_.load()) {
       const int fd = ::accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) return;  // listener shut down
@@ -1261,46 +1255,6 @@ TEST(RetryPolicyTest, DeadlineTruncatesUselessRetries) {
   EXPECT_EQ(policy.NextDelayUs(1, now, 0), 10000);
 }
 
-// ==== HedgeTrackerTest ======================================================
-
-TEST(HedgeTrackerTest, DisabledByDefault) {
-  HedgeTracker tracker;
-  EXPECT_FALSE(tracker.enabled());
-  EXPECT_EQ(tracker.HedgeDelayUs(), -1);
-  tracker.RecordLatencyUs(1000);
-  EXPECT_EQ(tracker.HedgeDelayUs(), -1);
-}
-
-TEST(HedgeTrackerTest, FixedModeNeedsNoWarmup) {
-  HedgeOptions options;
-  options.hedge_fixed_us = 7500;
-  HedgeTracker tracker(options);
-  EXPECT_TRUE(tracker.enabled());
-  EXPECT_EQ(tracker.HedgeDelayUs(), 7500);
-}
-
-TEST(HedgeTrackerTest, PercentileModeWarmsUpThenTracksTheTail) {
-  HedgeOptions options;
-  options.hedge_percentile = 0.90;
-  options.min_samples = 10;
-  HedgeTracker tracker(options);
-  EXPECT_TRUE(tracker.enabled());
-  // Cold: no threshold until min_samples completions have been seen.
-  for (int i = 0; i < 9; ++i) {
-    EXPECT_EQ(tracker.HedgeDelayUs(), -1) << "hedged during warmup at " << i;
-    tracker.RecordLatencyUs(1000 + i);
-  }
-  for (int i = 9; i < 19; ++i) tracker.RecordLatencyUs(1000 + i);
-  tracker.RecordLatencyUs(1000000);  // one slow outlier
-  EXPECT_EQ(tracker.samples(), 20u);
-  const int64_t delay = tracker.HedgeDelayUs();
-  ASSERT_GE(delay, 0);
-  // p90 of {1000..1018, 1000000} sits at the top of the fast cluster —
-  // far below the outlier, at or above the typical latency.
-  EXPECT_GE(delay, 1000);
-  EXPECT_LT(delay, 1000000);
-}
-
 // ==== NetClientTest: the resilient client over real sockets =================
 
 /// Client options tuned for tests: fast, deterministic backoff.
@@ -1508,36 +1462,90 @@ TEST(NetClientTest, StopFailsPendingRequestsInsteadOfLeakingThem) {
                                  stats.transport_errors + stats.other_errors);
 }
 
-TEST(NetClientTest, FixedDelayHedgeWinsWhenThePrimaryStalls) {
-  // The scripted server ignores the first copy of the request and answers
-  // only the second (the hedge, arriving on a second connection).
-  std::atomic<int> classify_frames{0};
-  ScriptedServer server([&](int fd, const Frame& frame) {
+TEST(NetClientTest, AnswerThatArrivesWithAResetIsNotDiscarded) {
+  // The server answers each request, then closes with zero linger, which
+  // sends a reset (RST): the answer and the reset can reach the client in
+  // one poll wakeup. The client must read the answer before it tears the
+  // connection down; a discarded answer would come back as a retry. Each
+  // request gets a fresh client, so none is written to a socket that is
+  // already reset.
+  ScriptedServer server([](int fd, const Frame& frame) {
     if (frame.type != MessageType::kClassifyRequest) return true;
-    if (classify_frames.fetch_add(1) == 0) return true;  // stall, keep conn
     ClassifyResponseMsg msg;
     msg.ok = true;
     msg.class_id = 1;
     msg.class_name = "fake";
     ScriptedServer::Respond(fd, frame.request_id, msg);
+    const linger reset{1, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+    return false;
+  });
+
+  constexpr int kRequests = 50;
+  int ok = 0;
+  uint64_t retries = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    NetClient client(FastClientOptions(server.port()));
+    ASSERT_TRUE(client.Start().ok());
+    ClassifyRequestMsg msg;
+    msg.text = "answered, then reset #" + std::to_string(i);
+    auto result = client.Classify(msg);
+    client.Stop();
+    if (result.ok() && result.value().ok) ++ok;
+    retries += client.Stats().retries;
+  }
+  EXPECT_EQ(ok, kRequests);
+  EXPECT_EQ(retries, 0u) << "answers that arrived with a reset were discarded";
+}
+
+TEST(NetClientTest, EveryAttemptCarriesOneAbsoluteDeadline) {
+  // The server sheds the first attempt and answers the second. Both frames
+  // must carry the deadline stamped once at Submit from the client's
+  // budget: a retry never extends the caller's budget.
+  std::mutex mutex;
+  std::vector<int64_t> deadlines;
+  ScriptedServer server([&](int fd, const Frame& frame) {
+    if (frame.type != MessageType::kClassifyRequest) return true;
+    auto request = DecodeClassifyRequest(frame.payload);
+    size_t nth = 0;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      deadlines.push_back(request.ok() ? request.value().deadline_unix_us
+                                       : -1);
+      nth = deadlines.size();
+    }
+    ClassifyResponseMsg msg;
+    if (nth == 1) {
+      msg.ok = false;
+      msg.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
+      msg.message = "shed";
+    } else {
+      msg.ok = true;
+      msg.class_id = 1;
+      msg.class_name = "fake";
+    }
+    ScriptedServer::Respond(fd, frame.request_id, msg);
     return true;
   });
 
-  NetClientOptions options = FastClientOptions(server.port());
-  options.hedge.hedge_fixed_us = 20000;  // hedge after 20 ms
-  options.retry.max_attempts = 1;        // isolate hedging from retries
+  const NetClientOptions options = FastClientOptions(server.port());
   NetClient client(options);
   ASSERT_TRUE(client.Start().ok());
   ClassifyRequestMsg msg;
-  msg.text = "hedge me";
+  msg.text = "one budget";
+  const int64_t wall_before = WallUs();
   auto result = client.Classify(msg);
+  const int64_t wall_after = WallUs();
+  client.Stop();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().ok);
-  client.Stop();
-  const NetClientStats stats = client.Stats();
-  EXPECT_EQ(stats.hedges, 1u);
-  EXPECT_EQ(stats.hedge_wins, 1u);
-  EXPECT_EQ(stats.ok, 1u);
+  EXPECT_EQ(client.Stats().retries, 1u);
+
+  std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_EQ(deadlines.size(), 2u);
+  EXPECT_EQ(deadlines[0], deadlines[1]) << "the retry moved the deadline";
+  EXPECT_GE(deadlines[0], wall_before + options.default_timeout_us);
+  EXPECT_LE(deadlines[0], wall_after + options.default_timeout_us);
 }
 
 // ==== NetChaosTest: fault-injected socket-layer behaviour ====================
@@ -1649,7 +1657,7 @@ TEST(NetChaosTest, ExpiredDeadlineIsShedAtAdmissionNeverScored) {
   // A live deadline on the same connection is admitted and served.
   ClassifyRequestMsg live;
   live.text = SampleText(1);
-  live.deadline_unix_us = Clock::Real()->WallUs() + 5'000'000;
+  live.deadline_unix_us = WallUs() + 5'000'000;
   client.Send(MessageType::kClassifyRequest, 43, EncodeClassifyRequest(live));
   Frame ok_frame = client.ReadFrame();
   auto ok_decoded = DecodeClassifyResponse(ok_frame.payload);

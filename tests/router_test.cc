@@ -984,6 +984,48 @@ TEST(QuarantineTest, AllQuarantinedFallsBackToOriginalPlacement) {
                 stats.canary_requests);
 }
 
+// ==== the health monitor's queue-depth gauge ==================================
+
+TEST(RouterTest, MonitorPublishesQueueDepthGauge) {
+  // fkd_obstop reads the engine queue from the unlabelled
+  // fkd.serve.queue_depth gauge, which the health monitor publishes every
+  // interval. Hold kQueued requests on one single-worker replica: the batch
+  // never fills and its wait is long, so they sit in the queue.
+  const auto& fixture = SharedFixture();
+  FaultInjector::Global().Clear();
+  VersionedModelStore store;
+  auto model = store.Load(fixture.snapshot_dir);
+  ASSERT_TRUE(model.ok());
+
+  constexpr size_t kQueued = 5;
+  RouterOptions options = FastRouterOptions();
+  options.num_replicas = 1;
+  options.cache_capacity = 0;
+  options.engine.max_batch_size = 16;
+  options.engine.max_batch_delay_us = 1'500'000;
+  options.quarantine.interval_ms = 20;
+  Router router(options);
+  ASSERT_TRUE(router.Start(model.value()).ok());
+  const obs::Gauge* depth =
+      obs::MetricsRegistry::Default().GetGauge("fkd.serve.queue_depth");
+
+  std::vector<ClassificationFuture> futures;
+  for (size_t i = 0; i < kQueued; ++i) {
+    ArticleRequest request;
+    request.text = SampleText(i) + " queued" + std::to_string(i);
+    auto submitted = router.Submit(std::move(request));
+    ASSERT_TRUE(submitted.ok());
+    futures.push_back(std::move(submitted).value());
+  }
+  EXPECT_TRUE(WaitFor(
+      [&] { return depth->Value() == static_cast<double>(kQueued); }, 1000))
+      << "gauge read " << depth->Value() << " with " << kQueued << " queued";
+  for (auto& future : futures) ASSERT_TRUE(future.get().ok());
+  EXPECT_TRUE(WaitFor([&] { return depth->Value() == 0.0; }, 1000))
+      << "gauge read " << depth->Value() << " after the batch ran";
+  router.Stop();
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace fkd

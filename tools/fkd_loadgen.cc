@@ -7,8 +7,8 @@
 // the round's report prints as one JSON line (net::LoadGenReport::ToJson).
 // --expect-zero-errors makes the exit code apply LoadGenReport::Clean():
 // at least one ok response and no failure of any kind. The client flags
-// (--timeout-us, --retries, --backoff-us, --hedge-us, --hedge-p) configure
-// the underlying net::NetClient. This drives load for smoke tests and
+// (--timeout-us, --retries, --backoff-us) configure the underlying
+// net::NetClient. This drives load for smoke tests and
 // drills; measurement belongs to the serving benchmark, perfbench/.
 
 #include <cstdio>
@@ -54,12 +54,6 @@ int main(int argc, char** argv) {
                "as an absolute deadline (0 = 80% of the drain timeout)");
   flags.AddInt("retries", 4, "max send attempts per request (>=1)");
   flags.AddInt("backoff-us", 1000, "base retry backoff, doubled per attempt");
-  flags.AddInt("hedge-us", 0,
-               "fixed hedge delay: resend still-pending requests on a "
-               "second connection after this (0 = off)");
-  flags.AddDouble("hedge-p", 0.0,
-                  "adaptive hedge percentile, e.g. 0.99 hedges requests "
-                  "slower than the observed p99 (0 = off)");
   flags.AddInt("corpus", 200, "distinct request bodies to cycle");
   flags.AddBool("unique", false,
                 "salt every request so the score cache never hits "
@@ -98,8 +92,6 @@ int main(int argc, char** argv) {
   options.request_timeout_us = flags.GetInt("timeout-us");
   options.retry.max_attempts = static_cast<int>(flags.GetInt("retries"));
   options.retry.backoff_base_us = flags.GetInt("backoff-us");
-  options.hedge.hedge_fixed_us = flags.GetInt("hedge-us");
-  options.hedge.hedge_percentile = flags.GetDouble("hedge-p");
 
   auto report = fkd::net::RunLoadGen(options);
   FKD_CHECK_OK(report.status());

@@ -94,8 +94,6 @@ int main(int argc, char** argv) {
   flags.AddInt("workers", 2, "worker threads per engine");
   flags.AddInt("loops", 2, "epoll event-loop threads");
   flags.AddInt("max-inflight", 256, "in-flight classify budget");
-  flags.AddInt("shed-depth", 0,
-               "engine queue depth that sheds new work (0 = auto)");
   flags.AddInt("max-connections", 1024, "concurrent connection cap");
   flags.AddInt("idle-timeout-ms", 60000,
                "close idle / slow-loris connections after this (<=0 off)");
@@ -141,8 +139,6 @@ int main(int argc, char** argv) {
   server_options.event_loops = static_cast<size_t>(flags.GetInt("loops"));
   server_options.max_inflight =
       static_cast<size_t>(flags.GetInt("max-inflight"));
-  server_options.shed_queue_depth =
-      static_cast<size_t>(flags.GetInt("shed-depth"));
   server_options.max_connections =
       static_cast<size_t>(flags.GetInt("max-connections"));
   server_options.idle_timeout_ms = flags.GetInt("idle-timeout-ms");

@@ -18,7 +18,7 @@
 # callbacks) and the multi-connection load generator under TSan;
 # Serve*/Router* include the callback suites (exactly-once on every
 # resolution path, re-entrant cache hits); NetClient*/NetChaos* add the
-# resilient client's I/O thread (submitters racing retries/hedges/timeouts)
+# resilient client's I/O thread (submitters racing retries/timeouts)
 # and the fault-injected socket paths, and Quarantine* races the health
 # monitor's quarantine/reinstate transitions against live Submits. The
 # Quant*/Tier* suites cover the quantized codecs and the compressed cold
@@ -49,6 +49,6 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-  -R '^(Serve|Router|Store|Cache|ConsistentHash|Fault|Crash|ThreadPool|Compute|Histogram|FlightRecorder|StatsExporter|Net|LoadGen|Quarantine|Quant|Tier|Budget|RetryPolicy|HedgeTracker|Clock|RegistryTest\.Concurrent|VocabularyTest\.ConstLookups)'
+  -R '^(Serve|Router|Store|Cache|ConsistentHash|Fault|Crash|ThreadPool|Compute|Histogram|FlightRecorder|StatsExporter|Net|LoadGen|Quarantine|Quant|Tier|Budget|RetryPolicy|Clock|RegistryTest\.Concurrent|VocabularyTest\.ConstLookups)'
 
 echo "tsan smoke: OK"
