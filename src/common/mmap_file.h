@@ -9,15 +9,13 @@
 
 namespace fkd {
 
-/// Read-only memory-mapped view of a whole file — the access path of the
-/// on-disk storage tier.
+/// Read-only memory-mapped view of a whole file — how weight files are
+/// read.
 ///
-/// A demoted model version's bytes stay on disk; promotion parses them
-/// straight out of the kernel page cache through this mapping instead of
-/// double-buffering the file into a heap string first. Pages are faulted
-/// in on access and can be reclaimed by the kernel under memory pressure,
-/// which is exactly the behaviour a budget-capped box wants from its cold
-/// tier.
+/// Snapshot loads parse weights straight out of the kernel page cache
+/// through this mapping instead of double-buffering the file into a heap
+/// string first. Pages are faulted in on access and can be reclaimed by
+/// the kernel under memory pressure.
 ///
 /// The mapping is private and read-only; the view stays valid for the
 /// lifetime of the object. Move-only (the destructor unmaps).

@@ -277,8 +277,8 @@ Result<std::vector<std::pair<std::string, Tensor>>> DecodeTensors(
 Result<std::vector<std::pair<std::string, Tensor>>> LoadTensors(
     const std::string& path) {
   // Weight files are parsed out of an mmap'd view rather than a heap
-  // buffer: cold-tier promotions read straight from the page cache and
-  // never double-buffer the file.
+  // buffer: loads read straight from the page cache and never
+  // double-buffer the file.
   FKD_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
   return DecodeTensors(file.data(), file.size(), path);
 }

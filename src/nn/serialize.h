@@ -48,7 +48,7 @@ Status SaveParametersEncoded(const Module& module, const std::string& path,
 /// quantized records are dequantised through the single deterministic
 /// fp16/int8 decode path, so the returned tensors are always fp32 and a
 /// pure function of the file bytes. The file is memory-mapped, not
-/// buffered — demoted-tier loads parse straight from the page cache.
+/// buffered — loads parse straight from the page cache.
 /// Corruption on any malformed or truncated record.
 Result<std::vector<std::pair<std::string, Tensor>>> LoadTensors(
     const std::string& path);

@@ -131,8 +131,6 @@ const char* FlightEventTypeName(FlightEventType type) {
     case FlightEventType::kSwapEnd: return "swap_end";
     case FlightEventType::kCanaryStart: return "canary_start";
     case FlightEventType::kCanaryStop: return "canary_stop";
-    case FlightEventType::kModelDemote: return "model_demote";
-    case FlightEventType::kModelPromote: return "model_promote";
     case FlightEventType::kFault: return "fault";
     case FlightEventType::kConnAccept: return "conn_accept";
     case FlightEventType::kConnClose: return "conn_close";

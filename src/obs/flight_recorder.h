@@ -10,8 +10,8 @@ namespace fkd {
 namespace obs {
 
 /// What happened. Values are stable (they appear in dump files); append
-/// only. Values 6, 22, 24 and 25 are retired: older dumps may hold them,
-/// so they are never reused.
+/// only. Values 6, 22, 24, 25, 46 and 47 are retired: older dumps may hold
+/// them, so they are never reused.
 enum class FlightEventType : uint32_t {
   kNone = 0,
   // Request lifecycle (a = request id, b = detail).
@@ -37,8 +37,6 @@ enum class FlightEventType : uint32_t {
   kSwapEnd = 43,         ///< b = new active version
   kCanaryStart = 44,     ///< b = permille
   kCanaryStop = 45,      ///< b = 1 if promoted
-  kModelDemote = 46,     ///< b = bytes released to the disk tier
-  kModelPromote = 47,    ///< b = bytes re-charged on promotion
   // Faults (a = site hash, b = action).
   kFault = 60,
   // Network front end (src/net).

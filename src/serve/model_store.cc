@@ -1,11 +1,6 @@
 #include "serve/model_store.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <filesystem>
 #include <utility>
 
 #include "common/logging.h"
@@ -25,29 +20,9 @@ std::string VersionNotFound(uint64_t version) {
 
 }  // namespace
 
-ModelStoreOptions ModelStoreOptions::FromEnv() {
-  ModelStoreOptions options;
-  const char* raw = std::getenv("FKD_MEMORY_BUDGET_MB");
-  if (raw != nullptr && raw[0] != '\0') {
-    uint64_t megabytes = 0;
-    if (ParseUint64(raw, &megabytes)) {
-      options.memory_budget_bytes =
-          static_cast<size_t>(megabytes) * 1024 * 1024;
-    } else {
-      FKD_LOG(Warning) << "ignoring unparsable FKD_MEMORY_BUDGET_MB='" << raw
-                       << "'";
-    }
-  }
-  return options;
-}
-
-VersionedModelStore::VersionedModelStore(ModelStoreOptions options)
-    : options_(std::move(options)),
-      accountant_(options_.memory_budget_bytes) {}
-
 Result<std::shared_ptr<const ServingModel>> VersionedModelStore::Load(
     const std::string& directory) {
-  // LoadSnapshot is the PR 3 durable path: the MANIFEST (existence, size,
+  // LoadSnapshot is the durable path: the MANIFEST (existence, size,
   // CRC-32C of every artifact) is verified before a byte is parsed, so a
   // torn or bit-rotted snapshot never becomes a version.
   Result<Snapshot> loaded = LoadSnapshot(directory);
@@ -56,184 +31,35 @@ Result<std::shared_ptr<const ServingModel>> VersionedModelStore::Load(
     ++load_failures_;
     return loaded.status();
   }
-  auto snapshot =
+  auto model = std::make_shared<ServingModel>();
+  model->directory = directory;
+  model->snapshot =
       std::make_shared<const Snapshot>(std::move(loaded).value());
+  const size_t bytes = model->snapshot->ResidentBytes();
   std::lock_guard<std::mutex> lock(mutex_);
-  return RegisterLocked(std::move(snapshot), directory);
-}
-
-std::shared_ptr<const ServingModel> VersionedModelStore::Register(
-    std::shared_ptr<const Snapshot> snapshot, std::string directory) {
-  FKD_CHECK(snapshot != nullptr && snapshot->model != nullptr)
-      << "Register needs a loaded snapshot";
-  std::lock_guard<std::mutex> lock(mutex_);
-  return RegisterLocked(std::move(snapshot), std::move(directory));
-}
-
-std::shared_ptr<const ServingModel> VersionedModelStore::RegisterLocked(
-    std::shared_ptr<const Snapshot> snapshot, std::string directory) {
-  auto model = std::make_shared<ServingModel>();
   model->version = next_version_++;
-  model->directory = std::move(directory);
-  model->snapshot = std::move(snapshot);
   ++loads_;
-  Entry entry;
-  entry.version = model->version;
-  entry.directory = model->directory;
-  entry.resident_bytes = model->snapshot->ResidentBytes();
-  entry.model = model;
-  accountant_.Charge(entry.version, entry.resident_bytes);
-  resident_.push_back(std::move(entry));
-  TouchLocked(&resident_.back());
+  resident_.push_back(Entry{model, bytes});
+  resident_bytes_ += bytes;
+  PublishGaugeLocked();
   FKD_LOG(Info) << "model store: loaded version " << model->version
-                << (model->directory.empty() ? ""
-                                             : " from " + model->directory);
-  EnforceBudgetLocked();
-  PublishGaugeLocked();
-  return model;
+                << " from " << directory;
+  return std::shared_ptr<const ServingModel>(std::move(model));
 }
 
-VersionedModelStore::Entry* VersionedModelStore::FindLocked(
-    uint64_t version) {
-  for (Entry& entry : resident_) {
-    if (entry.version == version) return &entry;
-  }
-  return nullptr;
-}
-
-void VersionedModelStore::TouchLocked(Entry* entry) {
-  entry->last_use = ++use_tick_;
-  entry->spill_failed = false;  // worth retrying once the entry is hot again
-}
-
-Result<std::string> VersionedModelStore::SpillRootLocked() {
-  if (!spill_root_.empty()) return spill_root_;
-  std::string root = options_.spill_directory;
-  if (root.empty()) {
-    static std::atomic<uint64_t> sequence{0};
-    root = (std::filesystem::temp_directory_path() /
-            StrFormat("fkd_store_spill_%d_%llu", static_cast<int>(::getpid()),
-                      static_cast<unsigned long long>(
-                          sequence.fetch_add(1))))
-               .string();
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(root, ec);
-  if (ec) {
-    return Status::IoError("cannot create spill directory " + root + ": " +
-                           ec.message());
-  }
-  spill_root_ = root;
-  return spill_root_;
-}
-
-void VersionedModelStore::EnforceBudgetLocked(const Entry* protect) {
-  while (accountant_.OverBudget()) {
-    Entry* victim = nullptr;
-    for (Entry& entry : resident_) {
-      if (&entry == protect) continue;       // being handed out right now
-      if (entry.model == nullptr) continue;  // already on the disk tier
-      if (entry.pinned) continue;
-      if (entry.spill_failed) continue;
-      if (active_ != nullptr && active_->version == entry.version) continue;
-      if (victim == nullptr || entry.last_use < victim->last_use) {
-        victim = &entry;
-      }
-    }
-    // Only the active/pinned working set remains: the store stays over
-    // budget rather than demoting what is being served.
-    if (victim == nullptr) break;
-    DemoteLocked(victim);
-  }
-}
-
-void VersionedModelStore::DemoteLocked(Entry* entry) {
-  if (entry->spill_path.empty()) {
-    Result<std::string> root = SpillRootLocked();
-    if (!root.ok()) {
-      entry->spill_failed = true;
-      FKD_LOG(Warning) << "model store: cannot demote version "
-                       << entry->version << ": "
-                       << root.status().ToString();
-      return;
-    }
-    const std::string path =
-        (std::filesystem::path(root.value()) /
-         StrFormat("v%llu", static_cast<unsigned long long>(entry->version)))
-            .string();
-    // Lossless spill: fp32 weights, LZ-compressed cold tier. The export is
-    // the crash-safe staged path, so a kill mid-demotion leaves either a
-    // complete spill or nothing — never a half-written tier the next
-    // promotion would trip over.
-    SnapshotOptions spill_options;
-    spill_options.weights_codec = nn::TensorCodec::kFp32;
-    spill_options.cold_codec = BlockCodecId::kLz;
-    const Status exported =
-        ExportSnapshot(*entry->model->snapshot, path, spill_options);
-    if (!exported.ok()) {
-      entry->spill_failed = true;
-      FKD_LOG(Warning) << "model store: spill of version " << entry->version
-                       << " failed: " << exported.ToString();
-      return;
-    }
-    entry->spill_path = path;
-  }
-  const size_t bytes = entry->resident_bytes;
-  // Outstanding references (a draining router generation) keep the old
-  // object alive; the registry just stops holding it resident.
-  entry->model.reset();
-  accountant_.Release(entry->version);
-  ++demotions_;
-  obs::MetricsRegistry::Default().GetCounter("fkd.store.demotions")
-      ->Increment();
-  obs::FlightRecorder::Get().Record(obs::FlightEventType::kModelDemote,
-                                    entry->version, bytes);
-  FKD_LOG(Info) << "model store: demoted version " << entry->version << " ("
-                << bytes << " bytes) to " << entry->spill_path;
-}
-
-Status VersionedModelStore::PromoteLocked(Entry* entry) {
-  FKD_CHECK(entry->model == nullptr);
-  if (entry->spill_path.empty()) {
-    return Status::Internal(
-        StrFormat("version %llu is demoted but has no spill",
-                  static_cast<unsigned long long>(entry->version)));
-  }
-  // The spill was exported losslessly and LoadSnapshot is deterministic,
-  // so the promoted content is bit-identical to what was demoted.
-  FKD_ASSIGN_OR_RETURN(Snapshot loaded, LoadSnapshot(entry->spill_path));
-  auto model = std::make_shared<ServingModel>();
-  model->version = entry->version;
-  model->directory = entry->directory;
-  model->snapshot = std::make_shared<const Snapshot>(std::move(loaded));
-  entry->model = std::move(model);
-  entry->resident_bytes = entry->model->snapshot->ResidentBytes();
-  accountant_.Charge(entry->version, entry->resident_bytes);
-  ++promotions_;
-  obs::MetricsRegistry::Default().GetCounter("fkd.store.promotions")
-      ->Increment();
-  obs::FlightRecorder::Get().Record(obs::FlightEventType::kModelPromote,
-                                    entry->version, entry->resident_bytes);
-  FKD_LOG(Info) << "model store: promoted version " << entry->version
-                << " from " << entry->spill_path;
-  TouchLocked(entry);
-  // The promotion itself may push the ledger over budget; someone colder
-  // pays for it — never the entry being promoted, which the caller is
-  // about to hand out.
-  EnforceBudgetLocked(entry);
-  PublishGaugeLocked();
-  return Status::OK();
+std::vector<VersionedModelStore::Entry>::iterator
+VersionedModelStore::FindLocked(uint64_t version) {
+  return std::find_if(resident_.begin(), resident_.end(),
+                      [version](const Entry& entry) {
+                        return entry.model->version == version;
+                      });
 }
 
 Status VersionedModelStore::Publish(uint64_t version) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Entry* entry = FindLocked(version);
-  if (entry == nullptr) return Status::NotFound(VersionNotFound(version));
-  if (entry->model == nullptr) {
-    FKD_RETURN_NOT_OK(PromoteLocked(entry));
-  }
-  active_ = entry->model;
-  TouchLocked(entry);
+  auto it = FindLocked(version);
+  if (it == resident_.end()) return Status::NotFound(VersionNotFound(version));
+  active_ = it->model;
   ++publishes_;
   obs::MetricsRegistry::Default()
       .GetGauge("fkd.serve.active_version")
@@ -249,47 +75,9 @@ std::shared_ptr<const ServingModel> VersionedModelStore::Active() const {
   return active_;
 }
 
-Result<std::shared_ptr<const ServingModel>> VersionedModelStore::Get(
-    uint64_t version) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry* entry = FindLocked(version);
-  if (entry == nullptr) return Status::NotFound(VersionNotFound(version));
-  if (entry->model == nullptr) {
-    FKD_RETURN_NOT_OK(PromoteLocked(entry));
-  } else {
-    TouchLocked(entry);
-  }
-  return entry->model;
-}
-
-Status VersionedModelStore::Pin(uint64_t version) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry* entry = FindLocked(version);
-  if (entry == nullptr) return Status::NotFound(VersionNotFound(version));
-  if (entry->model == nullptr) {
-    FKD_RETURN_NOT_OK(PromoteLocked(entry));
-  }
-  entry->pinned = true;
-  TouchLocked(entry);
-  return Status::OK();
-}
-
-Status VersionedModelStore::Unpin(uint64_t version) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry* entry = FindLocked(version);
-  if (entry == nullptr) return Status::NotFound(VersionNotFound(version));
-  entry->pinned = false;
-  EnforceBudgetLocked();
-  PublishGaugeLocked();
-  return Status::OK();
-}
-
 Status VersionedModelStore::Retire(uint64_t version) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = std::find_if(resident_.begin(), resident_.end(),
-                         [version](const Entry& entry) {
-                           return entry.version == version;
-                         });
+  auto it = FindLocked(version);
   if (it == resident_.end()) {
     return Status::NotFound(VersionNotFound(version));
   }
@@ -297,14 +85,12 @@ Status VersionedModelStore::Retire(uint64_t version) {
     return Status::FailedPrecondition(
         "cannot retire the active version; publish a replacement first");
   }
-  if (it->model != nullptr) {
-    retired_watch_.emplace_back(it->model);
-    accountant_.Release(version);
-  }
-  if (!it->spill_path.empty()) {
-    std::error_code ec;
-    std::filesystem::remove_all(it->spill_path, ec);  // best-effort cleanup
-  }
+  std::erase_if(retired_watch_,
+                [](const std::weak_ptr<const ServingModel>& watch) {
+                  return watch.expired();
+                });
+  retired_watch_.emplace_back(it->model);
+  resident_bytes_ -= it->resident_bytes;
   resident_.erase(it);
   ++retired_;
   obs::FlightRecorder::Get().Record(obs::FlightEventType::kModelRetire,
@@ -320,9 +106,8 @@ std::vector<uint64_t> VersionedModelStore::ResidentVersions() const {
   std::vector<uint64_t> versions;
   versions.reserve(resident_.size());
   for (const Entry& entry : resident_) {
-    versions.push_back(entry.version);
+    versions.push_back(entry.model->version);
   }
-  std::sort(versions.begin(), versions.end());
   return versions;
 }
 
@@ -338,20 +123,14 @@ ModelStoreStats VersionedModelStore::Stats() const {
   for (const auto& watch : retired_watch_) {
     if (!watch.expired()) ++stats.retired_still_alive;
   }
-  stats.resident_bytes = accountant_.total();
-  stats.budget_bytes = accountant_.budget();
-  for (const Entry& entry : resident_) {
-    if (entry.model == nullptr) ++stats.demoted;
-  }
-  stats.demotions = demotions_;
-  stats.promotions = promotions_;
+  stats.resident_bytes = resident_bytes_;
   return stats;
 }
 
 void VersionedModelStore::PublishGaugeLocked() {
   obs::MetricsRegistry::Default()
       .GetGauge("fkd.store.resident_bytes")
-      ->Set(static_cast<double>(accountant_.total()));
+      ->Set(static_cast<double>(resident_bytes_));
 }
 
 }  // namespace serve

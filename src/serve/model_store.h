@@ -1,13 +1,13 @@
 #ifndef FKD_SERVE_MODEL_STORE_H_
 #define FKD_SERVE_MODEL_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/memory_accountant.h"
 #include "common/status.h"
 #include "serve/snapshot.h"
 
@@ -30,21 +30,8 @@ struct ServingModel {
   std::shared_ptr<const Snapshot> snapshot;
 };
 
-/// Residency knobs of a VersionedModelStore.
-struct ModelStoreOptions {
-  /// Hard cap on the bytes of fp32-resident versions; 0 = unlimited.
-  /// While the registry is over this budget, least-recently-used
-  /// non-active, non-pinned versions are demoted to the on-disk tier.
-  size_t memory_budget_bytes = 0;
-  /// Where demoted versions spill. Empty picks a unique directory under
-  /// the system temp path on first demotion.
-  std::string spill_directory;
-
-  /// Defaults plus the FKD_MEMORY_BUDGET_MB environment knob (unset, empty
-  /// or unparsable → unlimited). The default-constructed store uses this,
-  /// so the knob reaches every store in the process without plumbing.
-  static ModelStoreOptions FromEnv();
-};
+/// Empty: kept only because perfbench constructs the store from it.
+struct ModelStoreOptions {};
 
 /// Point-in-time accounting of a VersionedModelStore.
 struct ModelStoreStats {
@@ -55,12 +42,8 @@ struct ModelStoreStats {
   size_t resident = 0;          ///< Versions currently in the registry.
   uint64_t active_version = 0;  ///< 0 = nothing published yet.
   size_t retired_still_alive = 0;  ///< Retired versions pinned by refs.
-  // Memory-budget tier.
-  size_t resident_bytes = 0;    ///< Accountant total of in-memory versions.
-  size_t budget_bytes = 0;      ///< 0 = unlimited.
-  size_t demoted = 0;           ///< Versions currently on the disk tier.
-  uint64_t demotions = 0;       ///< Lifetime demote transitions.
-  uint64_t promotions = 0;      ///< Lifetime promote transitions.
+  /// Sum of the registered versions' Snapshot::ResidentBytes().
+  size_t resident_bytes = 0;
 };
 
 /// Registry of loaded snapshot versions with one atomically published
@@ -79,24 +62,14 @@ struct ModelStoreStats {
 /// reference drains (observable via Stats().retired_still_alive, which the
 /// drain tests poll to prove old versions actually die).
 ///
-/// Memory budget: every resident version is charged its ResidentBytes()
-/// against a MemoryAccountant. While the total exceeds the budget, the
-/// least-recently-used version that is neither active nor pinned is
-/// demoted — spilled losslessly (fp32 weights, LZ-compressed cold tier) to
-/// the store's spill directory via the crash-safe export path, then
-/// dropped from memory. A Get() of a demoted version transparently
-/// re-promotes it: the spill is parsed back through the mmap-backed
-/// loader, bit-identical to the demoted content because both export and
-/// load are deterministic. The active version and pinned versions (Pin —
-/// canary owners) are never demoted, so serving never faults mid-request.
-/// Observable via fkd.store.resident_bytes / fkd.store.demotions /
-/// fkd.store.promotions and kModelDemote/kModelPromote flight events.
+/// Every registered version stays in memory; the fkd.store.resident_bytes
+/// gauge mirrors Stats().resident_bytes.
 ///
 /// Thread-safe: all methods may be called concurrently.
 class VersionedModelStore {
  public:
-  VersionedModelStore() : VersionedModelStore(ModelStoreOptions::FromEnv()) {}
-  explicit VersionedModelStore(ModelStoreOptions options);
+  VersionedModelStore() = default;
+  explicit VersionedModelStore(ModelStoreOptions) {}
   VersionedModelStore(const VersionedModelStore&) = delete;
   VersionedModelStore& operator=(const VersionedModelStore&) = delete;
 
@@ -106,90 +79,49 @@ class VersionedModelStore {
   Result<std::shared_ptr<const ServingModel>> Load(
       const std::string& directory);
 
-  /// Registers an already-loaded snapshot (e.g. exported in-process right
-  /// after training, skipping the disk round-trip) as a new version.
-  std::shared_ptr<const ServingModel> Register(
-      std::shared_ptr<const Snapshot> snapshot, std::string directory = "");
-
   /// Makes `version` the active one. Fails with NotFound for ids never
   /// registered or already retired. Publishing the already-active version
   /// is a no-op (still counted). After Publish returns, every Active()
-  /// call returns the new version. Publishing a demoted version promotes
-  /// it first.
+  /// call returns the new version.
   Status Publish(uint64_t version);
 
   /// The active version, or null before the first Publish. The returned
   /// reference keeps the version alive across any concurrent swap.
   std::shared_ptr<const ServingModel> Active() const;
 
-  /// Looks up a registered (non-retired) version by id, transparently
-  /// promoting it from the disk tier when demoted (which is why Get is
-  /// non-const).
-  Result<std::shared_ptr<const ServingModel>> Get(uint64_t version);
-
-  /// Marks `version` exempt from demotion (a canary in flight). NotFound
-  /// for unknown versions. Pinning a demoted version promotes it.
-  Status Pin(uint64_t version);
-  Status Unpin(uint64_t version);
-
-  /// Drops `version` from the registry so it can drain and die (its spill
-  /// files, if any, are deleted). Retiring the active version is refused
-  /// with FailedPrecondition — swap first.
+  /// Drops `version` from the registry so it can drain and die. Retiring
+  /// the active version is refused with FailedPrecondition — swap first.
   Status Retire(uint64_t version);
 
-  /// Ids of registered versions (resident or demoted), ascending.
+  /// Ids of registered versions, ascending.
   std::vector<uint64_t> ResidentVersions() const;
 
   ModelStoreStats Stats() const;
 
  private:
   struct Entry {
-    uint64_t version = 0;
-    std::string directory;    ///< original load dir (diagnostics)
-    /// Null while the version lives on the disk tier.
     std::shared_ptr<const ServingModel> model;
-    std::string spill_path;   ///< non-empty once exported to the spill dir
-    size_t resident_bytes = 0;
-    uint64_t last_use = 0;    ///< LRU tick; bumped by Get/Publish/Register
-    bool pinned = false;
-    /// A failed spill export disqualifies the entry from demotion until it
-    /// is touched again (prevents the budget loop from retrying forever).
-    bool spill_failed = false;
+    size_t resident_bytes = 0;  ///< model->snapshot->ResidentBytes()
   };
 
-  std::shared_ptr<const ServingModel> RegisterLocked(
-      std::shared_ptr<const Snapshot> snapshot, std::string directory);
-  Entry* FindLocked(uint64_t version);
-  void TouchLocked(Entry* entry);
-  /// Demotes LRU victims until within budget or nothing is demotable.
-  /// `protect` (the entry a promotion is about to hand out) is never a
-  /// victim — otherwise a one-entry store over budget would re-demote the
-  /// very version Get/Publish/Pin is returning.
-  void EnforceBudgetLocked(const Entry* protect = nullptr);
-  void DemoteLocked(Entry* entry);
-  Status PromoteLocked(Entry* entry);
-  /// Resolves (and creates) the spill root on first use.
-  Result<std::string> SpillRootLocked();
+  std::vector<Entry>::iterator FindLocked(uint64_t version);
   void PublishGaugeLocked();
 
-  const ModelStoreOptions options_;
   mutable std::mutex mutex_;
   uint64_t next_version_ = 1;
-  uint64_t use_tick_ = 0;
+  /// Registered versions in load order, which is ascending version order.
   std::vector<Entry> resident_;
+  size_t resident_bytes_ = 0;
   std::shared_ptr<const ServingModel> active_;
   /// Retired versions are watched (not owned): a weak_ptr expires exactly
   /// when the last in-flight reference drains, which is the observable
-  /// end of the RCU grace period.
+  /// end of the RCU grace period. Retire() first drops the watches that
+  /// have expired, so the list does not grow with every swap.
   std::vector<std::weak_ptr<const ServingModel>> retired_watch_;
-  MemoryAccountant accountant_;
-  std::string spill_root_;
   uint64_t loads_ = 0;
   uint64_t load_failures_ = 0;
   uint64_t publishes_ = 0;
   uint64_t retired_ = 0;
-  uint64_t demotions_ = 0;
-  uint64_t promotions_ = 0;
 };
 
 }  // namespace serve

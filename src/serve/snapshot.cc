@@ -75,16 +75,15 @@ std::vector<std::string> ClassNames(eval::LabelGranularity granularity) {
   return names;
 }
 
-Status WriteConfig(const Snapshot& snapshot, size_t num_creators,
-                   size_t num_subjects, const SnapshotOptions& options,
-                   const std::string& path) {
+Status WriteConfig(const core::FakeDetector& detector,
+                   const SnapshotOptions& options, const std::string& path) {
   std::ostringstream out;
-  const core::FakeDetectorConfig& c = snapshot.config;
+  const core::FakeDetectorConfig& c = detector.config();
   out << "format_version=" << kFormatVersion << '\n'
       << "weights_codec=" << nn::TensorCodecName(options.weights_codec) << '\n'
       << "cold_codec=" << GetBlockCodec(options.cold_codec)->name() << '\n'
-      << "num_classes=" << snapshot.num_classes << '\n'
-      << "granularity=" << GranularityName(snapshot.granularity) << '\n'
+      << "num_classes=" << detector.model()->num_classes() << '\n'
+      << "granularity=" << GranularityName(detector.granularity()) << '\n'
       << "hflu.embed_dim=" << c.hflu.embed_dim << '\n'
       << "hflu.gru_hidden=" << c.hflu.gru_hidden << '\n'
       << "hflu.latent_dim=" << c.hflu.latent_dim << '\n'
@@ -101,8 +100,8 @@ Status WriteConfig(const Snapshot& snapshot, size_t num_creators,
       << "gdu.disable_adjust_gate=" << (c.gdu.disable_adjust_gate ? 1 : 0)
       << '\n'
       << "gdu.plain_unit=" << (c.gdu.plain_unit ? 1 : 0) << '\n'
-      << "num_creators=" << num_creators << '\n'
-      << "num_subjects=" << num_subjects << '\n';
+      << "num_creators=" << detector.frozen_creator_states().rows() << '\n'
+      << "num_subjects=" << detector.frozen_subject_states().rows() << '\n';
   return WriteStringToFile(path, out.str());
 }
 
@@ -219,18 +218,19 @@ Tensor Snapshot::Score(
                               creator_states, subject_states);
 }
 
-namespace {
+Status ExportSnapshot(const core::FakeDetector& detector,
+                      const std::string& directory) {
+  return ExportSnapshot(detector, directory, SnapshotOptions());
+}
 
-/// Shared export body for both the trained-detector and loaded-snapshot
-/// fronts. `header` supplies config/classes/label names; the model and the
-/// frozen states are passed explicitly because the two fronts own them
-/// differently.
-Status ExportSnapshotImpl(const core::DiffusionModel& model,
-                          const Snapshot& header,
-                          const Tensor& creator_states,
-                          const Tensor& subject_states,
-                          const std::string& directory,
-                          const SnapshotOptions& options) {
+Status ExportSnapshot(const core::FakeDetector& detector,
+                      const std::string& directory,
+                      const SnapshotOptions& options) {
+  if (detector.model() == nullptr) {
+    return Status::FailedPrecondition(
+        "ExportSnapshot needs a trained FakeDetector");
+  }
+  const core::DiffusionModel& model = *detector.model();
   if (GetBlockCodec(options.cold_codec) == nullptr) {
     return Status::InvalidArgument("unregistered cold codec id");
   }
@@ -245,13 +245,12 @@ Status ExportSnapshotImpl(const core::DiffusionModel& model,
   FKD_ASSIGN_OR_RETURN(StagedDir staged, StagedDir::Create(directory));
   const std::filesystem::path dir(staged.path());
 
-  FKD_RETURN_NOT_OK(WriteConfig(header, creator_states.rows(),
-                                subject_states.rows(), options,
+  FKD_RETURN_NOT_OK(WriteConfig(detector, options,
                                 (dir / kConfigFile).string()));
 
   {
     std::string labels;
-    for (const auto& name : header.class_names) {
+    for (const auto& name : ClassNames(detector.granularity())) {
       labels += name;
       labels += '\n';
     }
@@ -282,8 +281,8 @@ Status ExportSnapshotImpl(const core::DiffusionModel& model,
       model, (dir / kWeightsFile).string(), options.weights_codec));
 
   const std::vector<std::pair<std::string, const Tensor*>> state_tensors = {
-      {"creator_states", &creator_states},
-      {"subject_states", &subject_states},
+      {"creator_states", &detector.frozen_creator_states()},
+      {"subject_states", &detector.frozen_subject_states()},
   };
   const std::string states_name = ColdFileName(kStatesFile,
                                                options.cold_codec);
@@ -304,42 +303,6 @@ Status ExportSnapshotImpl(const core::DiffusionModel& model,
   }
   FKD_RETURN_NOT_OK(WriteManifest(staged.path(), files));
   return staged.Commit();
-}
-
-}  // namespace
-
-Status ExportSnapshot(const core::FakeDetector& detector,
-                      const std::string& directory) {
-  return ExportSnapshot(detector, directory, SnapshotOptions());
-}
-
-Status ExportSnapshot(const core::FakeDetector& detector,
-                      const std::string& directory,
-                      const SnapshotOptions& options) {
-  const core::DiffusionModel* model = detector.model();
-  if (model == nullptr) {
-    return Status::FailedPrecondition(
-        "ExportSnapshot needs a trained FakeDetector");
-  }
-  Snapshot header;
-  header.config = detector.config();
-  header.num_classes = model->num_classes();
-  header.granularity = detector.granularity();
-  header.class_names = ClassNames(detector.granularity());
-  return ExportSnapshotImpl(*model, header, detector.frozen_creator_states(),
-                            detector.frozen_subject_states(), directory,
-                            options);
-}
-
-Status ExportSnapshot(const Snapshot& snapshot, const std::string& directory,
-                      const SnapshotOptions& options) {
-  if (snapshot.model == nullptr) {
-    return Status::FailedPrecondition(
-        "ExportSnapshot needs a loaded Snapshot");
-  }
-  return ExportSnapshotImpl(*snapshot.model, snapshot,
-                            snapshot.creator_states, snapshot.subject_states,
-                            directory, options);
 }
 
 Result<Snapshot> LoadSnapshot(const std::string& directory) {
@@ -488,8 +451,7 @@ Result<Snapshot> LoadSnapshot(const std::string& directory) {
 
 size_t Snapshot::ResidentBytes() const {
   // Fixed per-entry model for the hash-map + string + id bookkeeping a
-  // vocabulary entry costs; exact token payloads on top. Constant by
-  // content so re-charges after a promote/demote cycle are identical.
+  // vocabulary entry costs; exact token payloads on top.
   constexpr size_t kVocabularyEntryOverhead = 64;
   size_t bytes = (creator_states.size() + subject_states.size()) *
                  sizeof(float);

@@ -55,8 +55,8 @@ struct Snapshot {
 
   /// Deterministic estimate of this snapshot's heap footprint once loaded:
   /// parameter and state tensors exactly, vocabularies and label names by
-  /// a fixed per-entry model. The memory accountant charges this value, so
-  /// it must be a pure function of the snapshot's content.
+  /// a fixed per-entry model. A pure function of the snapshot's content;
+  /// the model store sums it into fkd.store.resident_bytes.
   size_t ResidentBytes() const;
 };
 
@@ -89,13 +89,6 @@ Status ExportSnapshot(const core::FakeDetector& detector,
 /// corruption of a quantized or compressed file fails the same loud way.
 Status ExportSnapshot(const core::FakeDetector& detector,
                       const std::string& directory,
-                      const SnapshotOptions& options);
-
-/// Re-exports an already-loaded snapshot — the spill path of the model
-/// store's on-disk tier (there is no FakeDetector to export from once only
-/// the servable form is resident). Lossless for fp32 weights: a
-/// LoadSnapshot of the result is bit-identical to `snapshot`.
-Status ExportSnapshot(const Snapshot& snapshot, const std::string& directory,
                       const SnapshotOptions& options);
 
 /// Rebuilds a servable model from an ExportSnapshot directory. The

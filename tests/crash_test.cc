@@ -30,7 +30,6 @@
 #include "data/split.h"
 #include "obs/flight_recorder.h"
 #include "serve/engine.h"
-#include "serve/model_store.h"
 #include "serve/snapshot.h"
 
 namespace fkd {
@@ -412,112 +411,6 @@ TEST(CrashCheckpointTest, KillDuringCheckpointThenRetrainMatches) {
   std::unique_ptr<core::FakeDetector> retrained(TrainDetector(config));
   ExpectSameWeights(*full, *retrained);
   fs::remove_all(ckpt_dir);
-}
-
-// ---- memory-budget demotion under failure ------------------------------------
-
-// A 1-byte budget store: every registered version is immediately over
-// budget, so the spill export runs inside Load() itself — which makes the
-// demotion path addressable by the same at-every-write fault sweep as the
-// snapshot export.
-serve::ModelStoreOptions TinyBudgetOptions(const std::string& spill_dir) {
-  serve::ModelStoreOptions options;
-  options.memory_budget_bytes = 1;
-  options.spill_directory = spill_dir;
-  return options;
-}
-
-TEST(CrashStoreTest, WriteFailureAtEveryDemotionStepKeepsStoreServing) {
-  const core::FakeDetector& detector = SnapshotDetector();
-  const std::string dir = TestDir("fkd_crash_store_src");
-  const std::string spill = TestDir("fkd_crash_store_spill");
-  ASSERT_TRUE(serve::ExportSnapshot(detector, dir).ok());
-
-  // Count the writes of one clean demotion (the lossless spill export).
-  FaultInjector& injector = FaultInjector::Global();
-  injector.Clear();
-  uint64_t writes = 0;
-  {
-    serve::VersionedModelStore store(TinyBudgetOptions(spill));
-    const uint64_t before = injector.HitCount("io.write");
-    auto v1 = store.Load(dir);
-    ASSERT_TRUE(v1.ok());
-    writes = injector.HitCount("io.write") - before;
-    ASSERT_GT(writes, 10u) << "demotion should spill through the full export";
-    ASSERT_EQ(store.Stats().demoted, 1u);
-  }
-  fs::remove_all(spill);
-
-  // Replay with an injected failure at every single spill write: the Load
-  // itself must still succeed, nothing is demoted (the entry is quarantined
-  // from the budget loop instead), and the version keeps serving.
-  for (uint64_t k = 1; k <= writes; ++k) {
-    fs::remove_all(spill);
-    serve::VersionedModelStore store(TinyBudgetOptions(spill));
-    ScopedFaults faults("io.write:fail@" + std::to_string(k));
-    auto v1 = store.Load(dir);
-    ASSERT_TRUE(v1.ok()) << "write " << k;
-    EXPECT_EQ(store.Stats().demoted, 0u) << "write " << k;
-    auto got = store.Get(v1.value()->version);
-    ASSERT_TRUE(got.ok()) << "write " << k;
-    ASSERT_NE(got.value()->snapshot, nullptr) << "write " << k;
-  }
-
-  // Faults cleared: the same store demotes and transparently re-promotes.
-  fs::remove_all(spill);
-  serve::VersionedModelStore store(TinyBudgetOptions(spill));
-  auto v1 = store.Load(dir);
-  ASSERT_TRUE(v1.ok());
-  EXPECT_EQ(store.Stats().demoted, 1u);
-  auto promoted = store.Get(v1.value()->version);
-  ASSERT_TRUE(promoted.ok());
-  EXPECT_NE(promoted.value()->snapshot, nullptr);
-  EXPECT_EQ(store.Stats().promotions, 1u);
-  fs::remove_all(spill);
-  fs::remove_all(dir);
-}
-
-TEST(CrashStoreTest, KillAtEveryDemotionWriteLeavesStoreLoadable) {
-  const core::FakeDetector& detector = SnapshotDetector();
-  const std::string dir = TestDir("fkd_crash_store_kill_src");
-  const std::string spill = TestDir("fkd_crash_store_kill_spill");
-  ASSERT_TRUE(serve::ExportSnapshot(detector, dir).ok());
-
-  // Kill points across the spill export: early writes, mid-weights, the
-  // manifest, an fsync, and the publishing rename. After each real process
-  // death the invariant is: the spill directory holds either a complete,
-  // loadable snapshot or nothing — and the source snapshot is untouched,
-  // so a restarted store always comes back.
-  const std::vector<std::string> kill_specs = {
-      "io.write:crash@1", "io.write:crash@7", "io.write:crash@13",
-      "io.fsync:crash@1", "io.rename:crash",
-  };
-  for (const std::string& spec : kill_specs) {
-    fs::remove_all(spill);
-    EXPECT_EXIT(
-        {
-          FKD_CHECK_OK(FaultInjector::Global().Configure(spec));
-          serve::VersionedModelStore victim(TinyBudgetOptions(spill));
-          (void)victim.Load(dir);  // demotion inside Load hits the fault
-          ::_exit(0);              // unreachable when the fault fires
-        },
-        ::testing::ExitedWithCode(kFaultCrashExitCode), "")
-        << spec;
-    const std::string spilled = spill + "/v1";
-    if (fs::exists(spilled)) {
-      EXPECT_TRUE(serve::LoadSnapshot(spilled).ok())
-          << "kill at " << spec << " published a broken spill";
-    }
-    // The restarted store loads the source snapshot as if nothing happened.
-    serve::VersionedModelStore restarted(TinyBudgetOptions(spill));
-    auto reloaded = restarted.Load(dir);
-    ASSERT_TRUE(reloaded.ok()) << spec;
-    auto got = restarted.Get(reloaded.value()->version);
-    ASSERT_TRUE(got.ok()) << spec;
-    EXPECT_NE(got.value()->snapshot, nullptr) << spec;
-  }
-  fs::remove_all(spill);
-  fs::remove_all(dir);
 }
 
 // ---- flight recorder on the way down ----------------------------------------

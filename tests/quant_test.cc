@@ -28,7 +28,6 @@
 
 #include "common/block_codec.h"
 #include "common/file_io.h"
-#include "common/memory_accountant.h"
 #include "common/mmap_file.h"
 #include "common/rng.h"
 #include "nn/quantize.h"
@@ -553,34 +552,6 @@ TEST(TierTest, MappedFileHandlesEmptyAndMissing) {
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
   fs::remove_all(dir);
-}
-
-TEST(TierTest, MemoryAccountantLedgerInvariants) {
-  MemoryAccountant accountant(1000);
-  EXPECT_FALSE(accountant.unlimited());
-  EXPECT_FALSE(accountant.OverBudget());
-  accountant.Charge(1, 600);
-  accountant.Charge(2, 300);
-  EXPECT_EQ(accountant.total(), 900u);
-  EXPECT_FALSE(accountant.OverBudget());
-  accountant.Charge(3, 400);
-  EXPECT_TRUE(accountant.OverBudget());
-  EXPECT_EQ(accountant.Excess(), 300u);
-  // Re-charging a key replaces, never double-counts.
-  accountant.Charge(1, 100);
-  EXPECT_EQ(accountant.total(), 800u);
-  EXPECT_FALSE(accountant.OverBudget());
-  EXPECT_EQ(accountant.Release(2), 300u);
-  EXPECT_EQ(accountant.Release(2), 0u);  // idempotent
-  EXPECT_EQ(accountant.total(), 500u);
-  EXPECT_EQ(accountant.ChargeOf(3), 400u);
-  EXPECT_EQ(accountant.entries(), 2u);
-
-  MemoryAccountant unlimited(0);
-  unlimited.Charge(1, size_t{1} << 40);
-  EXPECT_TRUE(unlimited.unlimited());
-  EXPECT_FALSE(unlimited.OverBudget());
-  EXPECT_EQ(unlimited.Excess(), 0u);
 }
 
 }  // namespace

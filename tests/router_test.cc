@@ -180,16 +180,30 @@ TEST(StoreTest, RetiredVersionDiesWhenItsLastReferenceDrains) {
       << "refcount drained, memory released";
 }
 
-TEST(StoreTest, RegisterAcceptsInProcessSnapshot) {
+TEST(StoreTest, ResidentBytesSumsRegisteredVersions) {
   const auto& fixture = SharedFixture();
-  auto loaded = LoadSnapshot(fixture.snapshot_dir);
-  ASSERT_TRUE(loaded.ok());
+  const auto resident_gauge = [] {
+    return obs::MetricsRegistry::Default()
+        .GetGauge("fkd.store.resident_bytes")
+        ->Value();
+  };
   VersionedModelStore store;
-  auto model = store.Register(
-      std::make_shared<const Snapshot>(std::move(loaded).value()));
-  EXPECT_EQ(model->version, 1u);
-  ASSERT_TRUE(store.Publish(model->version).ok());
-  EXPECT_EQ(store.Active()->snapshot, model->snapshot);
+  auto v1 = store.Load(fixture.snapshot_dir);
+  auto v2 = store.Load(fixture.snapshot_dir);
+  ASSERT_TRUE(v1.ok() && v2.ok());
+  const size_t one = v1.value()->snapshot->ResidentBytes();
+  ASSERT_GT(one, 0u);
+  EXPECT_EQ(store.Stats().resident_bytes, 2 * one);
+  EXPECT_EQ(resident_gauge(), static_cast<double>(2 * one));
+
+  // A retired version leaves the sum at once, even while a reference
+  // still keeps its memory alive.
+  ASSERT_TRUE(store.Publish(2).ok());
+  std::shared_ptr<const ServingModel> in_flight = std::move(v1).value();
+  ASSERT_TRUE(store.Retire(1).ok());
+  EXPECT_EQ(store.Stats().resident_bytes, one);
+  EXPECT_EQ(resident_gauge(), static_cast<double>(one));
+  EXPECT_EQ(store.Stats().retired_still_alive, 1u);
 }
 
 // ---- router basics ----------------------------------------------------------------
@@ -413,11 +427,9 @@ TEST(RouterTest, CanaryPermilleEnvParsing) {
 //      after a swap is acknowledged);
 //   3. the store's retired versions all drain — refcounts actually reach
 //      zero once the router moved on.
-// Body shared with BudgetTest::HotSwapStressHoldsUnderTightBudget, which
-// replays the identical lifecycle against a store whose budget forces a
-// demote/promote cycle on every swap.
-void RunHotSwapStress(VersionedModelStore& store) {
+TEST(RouterTest, HotSwapStressZeroDowntime) {
   const auto& fixture = SharedFixture();
+  VersionedModelStore store;
   RouterOptions options = FastRouterOptions();
   options.num_replicas = 2;
   Router router(options);
@@ -520,11 +532,6 @@ void RunHotSwapStress(VersionedModelStore& store) {
   EXPECT_EQ(stats.retired_still_alive, 0u)
       << "a retired version is still pinned after its drain";
   EXPECT_EQ(stats.active_version, 1u + kSwaps);
-}
-
-TEST(RouterTest, HotSwapStressZeroDowntime) {
-  VersionedModelStore store;
-  RunHotSwapStress(store);
 }
 
 // ==== RouterCallbackTest: the push path =====================================
@@ -647,185 +654,6 @@ TEST(RouterCallbackTest, CallbackAndFutureResultsAreBitwiseIdentical) {
     }
     router.Stop();
   }
-}
-
-// ==== BudgetTest: memory-budgeted residency ==================================
-
-/// Exact fp32 residency of one loaded fixture snapshot, measured through a
-/// throwaway unlimited store — the unit the budget tests size themselves in.
-size_t OneModelBytes() {
-  VersionedModelStore probe;
-  auto model = probe.Load(SharedFixture().snapshot_dir);
-  FKD_CHECK_OK(model.status());
-  return probe.Stats().resident_bytes;
-}
-
-std::string BudgetSpillDir(const std::string& stem) {
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            (stem + "_" + std::to_string(::getpid())))
-                               .string();
-  std::filesystem::remove_all(path);
-  return path;
-}
-
-ModelStoreOptions BudgetOptions(size_t budget_bytes, const std::string& stem) {
-  ModelStoreOptions options;
-  options.memory_budget_bytes = budget_bytes;
-  options.spill_directory = BudgetSpillDir(stem);
-  return options;
-}
-
-TEST(BudgetTest, MemoryBudgetEnvKnobParsing) {
-  ASSERT_EQ(setenv("FKD_MEMORY_BUDGET_MB", "64", 1), 0);
-  EXPECT_EQ(ModelStoreOptions::FromEnv().memory_budget_bytes,
-            size_t{64} * 1024 * 1024);
-  // Garbage is ignored (unlimited), not honoured.
-  ASSERT_EQ(setenv("FKD_MEMORY_BUDGET_MB", "lots", 1), 0);
-  EXPECT_EQ(ModelStoreOptions::FromEnv().memory_budget_bytes, 0u);
-  ASSERT_EQ(unsetenv("FKD_MEMORY_BUDGET_MB"), 0);
-  EXPECT_EQ(ModelStoreOptions::FromEnv().memory_budget_bytes, 0u);
-}
-
-TEST(BudgetTest, RegisteringOverBudgetDemotesLeastRecentlyUsed) {
-  const auto& fixture = SharedFixture();
-  const size_t one = OneModelBytes();
-  // Room for two resident versions, not three.
-  VersionedModelStore store(BudgetOptions(one * 2 + one / 2, "fkd_budget_lru"));
-  auto v1 = store.Load(fixture.snapshot_dir);
-  auto v2 = store.Load(fixture.snapshot_dir);
-  ASSERT_TRUE(v1.ok() && v2.ok());
-  ModelStoreStats stats = store.Stats();
-  EXPECT_EQ(stats.demoted, 0u);
-  EXPECT_LE(stats.resident_bytes, stats.budget_bytes);
-
-  // Touch v1 so v2 becomes the coldest, then blow the budget with v3:
-  // the LRU victim must be v2, not the most recently used v1.
-  ASSERT_TRUE(store.Get(1).ok());
-  auto v3 = store.Load(fixture.snapshot_dir);
-  ASSERT_TRUE(v3.ok());
-  stats = store.Stats();
-  EXPECT_EQ(stats.demoted, 1u);
-  EXPECT_EQ(stats.demotions, 1u);
-  EXPECT_LE(stats.resident_bytes, stats.budget_bytes)
-      << "the accountant let the registry exceed its budget";
-
-  // All three versions are still addressable; v2 comes back via promotion
-  // (the promotions counter is the witness that v2 was the one demoted).
-  EXPECT_EQ(store.ResidentVersions(), (std::vector<uint64_t>{1, 2, 3}));
-  EXPECT_EQ(store.Stats().promotions, 0u);
-  auto back = store.Get(2);
-  ASSERT_TRUE(back.ok());
-  EXPECT_NE(back.value()->snapshot, nullptr);
-  stats = store.Stats();
-  EXPECT_EQ(stats.promotions, 1u);
-  EXPECT_LE(stats.resident_bytes, stats.budget_bytes)
-      << "the promotion was not paid for by demoting someone colder";
-}
-
-TEST(BudgetTest, GetRePromotesBitIdentically) {
-  const auto& fixture = SharedFixture();
-  const size_t one = OneModelBytes();
-  // Exactly one version fits: the second load demotes the first.
-  VersionedModelStore store(BudgetOptions(one, "fkd_budget_bits"));
-  auto v1 = store.Load(fixture.snapshot_dir);
-  ASSERT_TRUE(v1.ok());
-
-  // Reference scores through the still-resident v1.
-  std::vector<std::vector<float>> reference;
-  for (size_t i = 0; i < 4; ++i) {
-    const auto& article = fixture.dataset.articles[i];
-    const Tensor logits = v1.value()->snapshot->Score(
-        {article.text}, {article.creator}, {article.subjects});
-    std::vector<float> row(logits.cols());
-    for (size_t c = 0; c < logits.cols(); ++c) row[c] = logits.At(0, c);
-    reference.push_back(std::move(row));
-  }
-
-  auto v2 = store.Load(fixture.snapshot_dir);
-  ASSERT_TRUE(v2.ok());
-  ASSERT_EQ(store.Stats().demoted, 1u) << "v1 should be on the disk tier";
-
-  auto promoted = store.Get(1);
-  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
-  ASSERT_NE(promoted.value()->snapshot, nullptr);
-  EXPECT_NE(promoted.value()->snapshot, v1.value()->snapshot)
-      << "promotion reloads from the spill, it does not resurrect the object";
-  EXPECT_EQ(store.Stats().promotions, 1u);
-
-  // The lossless spill + deterministic load make the round trip exact:
-  // every logit is bitwise identical to the pre-demotion scores.
-  for (size_t i = 0; i < reference.size(); ++i) {
-    const auto& article = fixture.dataset.articles[i];
-    const Tensor logits = promoted.value()->snapshot->Score(
-        {article.text}, {article.creator}, {article.subjects});
-    ASSERT_EQ(logits.cols(), reference[i].size());
-    for (size_t c = 0; c < reference[i].size(); ++c) {
-      EXPECT_EQ(logits.At(0, c), reference[i][c])
-          << "article " << i << " class " << c << " drifted through demotion";
-    }
-  }
-}
-
-TEST(BudgetTest, ActiveAndPinnedVersionsAreNeverDemoted) {
-  const auto& fixture = SharedFixture();
-  // A 1-byte budget wants to demote everything; only the active/pinned
-  // exemptions keep anything resident.
-  VersionedModelStore store(BudgetOptions(1, "fkd_budget_pin"));
-  auto v1 = store.Load(fixture.snapshot_dir);
-  ASSERT_TRUE(v1.ok());
-  EXPECT_EQ(store.Stats().demoted, 1u) << "nothing protects an idle version";
-
-  // Publishing promotes v1 and shields it from then on.
-  ASSERT_TRUE(store.Publish(1).ok());
-  EXPECT_EQ(store.Stats().demoted, 0u);
-  const uint64_t promotions_after_publish = store.Stats().promotions;
-
-  // A canary: loaded, immediately demoted, then pinned (which promotes it
-  // and exempts it like the active version).
-  auto v2 = store.Load(fixture.snapshot_dir);
-  ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(store.Stats().demoted, 1u);
-  ASSERT_TRUE(store.Pin(2).ok());
-  EXPECT_EQ(store.Stats().demoted, 0u);
-
-  // A third version churns through the budget loop; the active and the
-  // pinned versions must not be touched by it.
-  auto v3 = store.Load(fixture.snapshot_dir);
-  ASSERT_TRUE(v3.ok());
-  ModelStoreStats stats = store.Stats();
-  EXPECT_EQ(stats.demoted, 1u) << "only v3 is demotable";
-  // Get on the active and pinned versions is promotion-free.
-  ASSERT_TRUE(store.Get(1).ok());
-  ASSERT_TRUE(store.Get(2).ok());
-  EXPECT_EQ(store.Stats().promotions, promotions_after_publish + 1)
-      << "active/pinned Get must not need a promotion";
-
-  // Unpin drops the shield: the budget loop reclaims v2.
-  ASSERT_TRUE(store.Unpin(2).ok());
-  EXPECT_EQ(store.Stats().demoted, 2u);
-  // The active version remains the only resident one, over budget by
-  // design: the store never demotes what is being served.
-  EXPECT_EQ(store.Stats().active_version, 1u);
-  auto active = store.Get(1);
-  ASSERT_TRUE(active.ok());
-  EXPECT_NE(active.value()->snapshot, nullptr);
-}
-
-// The PR-5 acceptance stress, replayed against a store that can hold ~1.5
-// versions: every swap forces a demote (the incoming version) and a
-// promote (its publish), and the three invariants — zero failed requests,
-// no stale version after an acknowledged publish, full refcount drain —
-// must survive the extra churn.
-TEST(BudgetTest, HotSwapStressHoldsUnderTightBudget) {
-  const size_t one = OneModelBytes();
-  VersionedModelStore store(BudgetOptions(one + one / 2, "fkd_budget_swap"));
-  RunHotSwapStress(store);
-  const ModelStoreStats stats = store.Stats();
-  EXPECT_GT(stats.demotions, 0u) << "the budget never bit — not a tight run";
-  EXPECT_EQ(stats.demotions, stats.promotions)
-      << "every demoted version was published, so each demote has a promote";
-  EXPECT_LE(stats.resident_bytes, stats.budget_bytes)
-      << "steady state (one active version) must fit the budget";
 }
 
 // ==== QuarantineTest: replica quarantine + self-healing ======================

@@ -5,13 +5,13 @@
 # Configures a dedicated build tree with -fsanitize=address,undefined,
 # builds the serving/concurrency test binaries, and runs the Serve*,
 # Router*, Store*, Cache*, Fault*, Crash*, ThreadPool* and Compute* suites
-# under ASan/UBSan via ctest, plus Quant*/Tier*/Budget* for the quantized
-# codecs, the compressed cold tier, and the memory-budgeted store. Heap
-# corruption, use-after-free (e.g. a retired model generation freed while
-# an in-flight batch still reads it, or a demoted version's spill read past
-# its mmap), out-of-bounds kernel or LZ-window indexing, or UB (signed
-# overflow, bad shifts — the fp16 bit twiddling is all-shifts) aborts the
-# run with a non-zero exit code.
+# under ASan/UBSan via ctest, plus Quant*/Tier* for the quantized codecs,
+# the compressed cold tier and the mmap'd file view. Heap corruption,
+# use-after-free (e.g. a retired model generation freed while an in-flight
+# batch still reads it, or a weights file parsed past its mmap),
+# out-of-bounds kernel or LZ-window indexing, or UB (signed overflow, bad
+# shifts — the fp16 bit twiddling is all-shifts) aborts the run with a
+# non-zero exit code.
 #
 #   tools/asan_smoke.sh [build-dir]   (default: build-asan next to the repo root)
 
@@ -38,6 +38,6 @@ export ASAN_OPTIONS="detect_leaks=0 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1 ${UBSAN_OPTIONS:-}"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-  -R '^(Serve|Router|Store|Cache|ConsistentHash|Fault|Crash|ThreadPool|Compute|Net|LoadGen|Quarantine|Quant|Tier|Budget|RetryPolicy|Clock|VocabularyTest\.ConstLookups)'
+  -R '^(Serve|Router|Store|Cache|ConsistentHash|Fault|Crash|ThreadPool|Compute|Net|LoadGen|Quarantine|Quant|Tier|RetryPolicy|Clock|VocabularyTest\.ConstLookups)'
 
 echo "asan smoke: OK"

@@ -5,10 +5,12 @@
 //
 // --demo trains a tiny synthetic model in-process (no snapshot needed), so
 // smoke tests and quickstarts can bring up a serving endpoint with one
-// command. With a snapshot directory, kSwapRequest frames re-load it and
-// hot-swap the router to the new version; kCanaryRequest frames start (or
-// stop, permille 0) a canary on a fresh load of the same directory. Each
-// move retires the version it replaced (net::InstallReloadHandlers).
+// command. It exports into --snapshot when given; otherwise into a
+// directory under the temp path that is removed on exit. kSwapRequest
+// frames re-load the snapshot directory and hot-swap the router to the new
+// version; kCanaryRequest frames start (or stop, permille 0) a canary on a
+// fresh load of the same directory. Each move retires the version it
+// replaced (net::InstallReloadHandlers).
 //
 // SIGINT/SIGTERM triggers the graceful sequence: stop accepting, drain
 // every in-flight request and flush its response, stop the router, flush
@@ -106,8 +108,9 @@ int main(int argc, char** argv) {
   }
 
   std::string snapshot_dir = flags.GetString("snapshot");
-  if (flags.GetBool("demo") || snapshot_dir.empty()) {
-    if (snapshot_dir.empty()) {
+  const bool owns_snapshot_dir = snapshot_dir.empty();
+  if (flags.GetBool("demo") || owns_snapshot_dir) {
+    if (owns_snapshot_dir) {
       snapshot_dir =
           (std::filesystem::temp_directory_path() /
            ("fkd_server_demo_" + std::to_string(::getpid())))
@@ -177,6 +180,10 @@ int main(int argc, char** argv) {
   server.Shutdown();
   router.Stop();
   if (exporter != nullptr) exporter->Stop();
+  if (owns_snapshot_dir) {
+    std::error_code ec;
+    std::filesystem::remove_all(snapshot_dir, ec);
+  }
 
   const fkd::net::ServerStats stats = server.Stats();
   const uint64_t accounted =

@@ -6,7 +6,9 @@
 # (plus a ping) that must be clean (some ok responses, no failure of any
 # kind), then SIGTERMs the server and asserts the graceful drain: exit 0
 # and the no-silent-drop line. A second launch gets its SIGTERM ~0.1 s in,
-# while the demo model still trains, and must drain just the same.
+# while the demo model still trains, and must drain just the same; it has
+# no --snapshot, so it picks its demo path under TMPDIR and must remove it
+# on exit.
 #
 #   tools/loadgen_smoke.sh <fkd_server> <fkd_loadgen>
 
@@ -26,13 +28,15 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# start_server <name>: launches fkd_server --demo in the background with its
-# log, port file and snapshot under ${WORKDIR}/<name>*; sets SERVER_PID.
+# start_server <name> [flag...]: launches fkd_server --demo in the
+# background with its log and port file under ${WORKDIR}/<name>* and any
+# extra flags; sets SERVER_PID.
 start_server() {
+  local name="$1"
+  shift
   "${SERVER_BIN}" --demo --demo-articles=80 --port=0 \
-    --snapshot="${WORKDIR}/$1-snapshot" --port-file="${WORKDIR}/$1.port" \
-    --loops=1 --replicas=1 --workers=1 \
-    >"${WORKDIR}/$1.log" 2>&1 &
+    --port-file="${WORKDIR}/${name}.port" --loops=1 --replicas=1 --workers=1 \
+    "$@" >"${WORKDIR}/${name}.log" 2>&1 &
   SERVER_PID=$!
 }
 
@@ -57,7 +61,7 @@ stop_server() {
   }
 }
 
-start_server serving
+start_server serving --snapshot="${WORKDIR}/serving-snapshot"
 SERVER_LOG="${WORKDIR}/serving.log"
 PORT_FILE="${WORKDIR}/serving.port"
 
@@ -80,8 +84,13 @@ echo "server up on port ${PORT}"
 
 stop_server serving
 
-start_server early
+mkdir "${WORKDIR}/early-tmp"
+TMPDIR="${WORKDIR}/early-tmp" start_server early
 sleep 0.1
 stop_server early
+if [[ -n "$(ls -A "${WORKDIR}/early-tmp")" ]]; then
+  echo "FAIL: early server left its demo snapshot behind"
+  ls -A "${WORKDIR}/early-tmp"; exit 1
+fi
 
 echo "loadgen smoke: OK"

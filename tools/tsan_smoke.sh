@@ -22,10 +22,8 @@
 # and the fault-injected socket paths, and Quarantine* races the health
 # monitor's quarantine/reinstate transitions against live Submits. The
 # Quant*/Tier* suites cover the quantized codecs and the compressed cold
-# tier (including the 1-vs-4-thread determinism cases), and Budget* the
-# memory-budgeted store's demote/promote transitions — including the
-# hot-swap stress replayed under a tight budget. Any data race aborts the
-# run with a non-zero exit code.
+# tier (including the 1-vs-4-thread determinism cases). Any data race
+# aborts the run with a non-zero exit code.
 #
 #   tools/tsan_smoke.sh [build-dir]   (default: build-tsan next to the repo root)
 
@@ -49,6 +47,6 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-  -R '^(Serve|Router|Store|Cache|ConsistentHash|Fault|Crash|ThreadPool|Compute|Histogram|FlightRecorder|StatsExporter|Net|LoadGen|Quarantine|Quant|Tier|Budget|RetryPolicy|Clock|RegistryTest\.Concurrent|VocabularyTest\.ConstLookups)'
+  -R '^(Serve|Router|Store|Cache|ConsistentHash|Fault|Crash|ThreadPool|Compute|Histogram|FlightRecorder|StatsExporter|Net|LoadGen|Quarantine|Quant|Tier|RetryPolicy|Clock|RegistryTest\.Concurrent|VocabularyTest\.ConstLookups)'
 
 echo "tsan smoke: OK"
