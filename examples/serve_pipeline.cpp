@@ -1,17 +1,17 @@
 // Serving walk-through: train a detector on a synthetic corpus, freeze it
 // into a snapshot directory, reload the snapshot through the versioned
 // model store as a fresh process restart would, bring up the serving
-// Router (replicated micro-batching engines + score cache), push synthetic
-// traffic through it, then exercise the operational moves — canary a
-// second version on a traffic slice, promote it, and hot-swap a third
-// version live — and dump the fkd.serve.* metrics recorded along the way.
+// Router (one micro-batching engine per version + score cache), push
+// synthetic traffic through it, then exercise the operational moves —
+// canary a second version on a traffic slice, promote it, and hot-swap a
+// third version live — and dump the fkd.serve.* metrics recorded along the
+// way.
 //
 //   ./serve_pipeline [--articles=200] [--requests=60] [--workers=2]
 //                    [--trace=trace.json]
 //
 // Over the wire, the same moves are tools/fkd_server's swap and canary
 // frames; perfbench/ (workload swap_mixed) measures swaps under load.
-// FKD_CANARY_PCT=<percent> sets the default canary traffic share.
 // With --trace and a tracing build, FKD_SLOW_TRACE_US=<n> controls which
 // requests leave queue/batch/compute spans (0 traces every request).
 
@@ -112,12 +112,10 @@ int main(int argc, char** argv) {
               v1.value()->snapshot->creator_states.rows(),
               v1.value()->snapshot->subject_states.rows());
 
-  // 4. Serve synthetic traffic through the router: replicated
-  // micro-batching engines behind consistent-hash placement and a sharded
-  // LRU score cache. The corpus repeats, so the second half of the traffic
-  // is mostly cache hits.
+  // 4. Serve synthetic traffic through the router: one micro-batching
+  // engine behind a sharded LRU score cache. The corpus repeats, so the
+  // second half of the traffic is mostly cache hits.
   fkd::serve::RouterOptions options;
-  options.num_replicas = 2;
   options.engine.num_workers = static_cast<size_t>(flags.GetInt("workers"));
   options.engine.max_batch_size = 8;
   options.engine.max_batch_delay_us = 1000;

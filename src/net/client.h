@@ -65,8 +65,7 @@ struct NetClientStats {
 ///
 ///  - **One retry layer** — the client owns the deadline, so it alone
 ///    retries: the engine fails a batch fast and the server never
-///    resubmits, so attempts never multiply across layers. A sick replica
-///    is kept out of rotation by the router's quarantine, not by retries.
+///    resubmits, so attempts never multiply across layers.
 ///  - **Request identity** — every logical request keeps one request id
 ///    across all its attempts (retries, reconnect resends). The
 ///    first response with that id wins and completes the request; any

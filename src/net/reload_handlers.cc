@@ -48,8 +48,7 @@ void InstallReloadHandlers(const std::string& snapshot_dir,
       }
     } else {
       FKD_ASSIGN_OR_RETURN(auto model, store->Load(snapshot_dir));
-      const Status started =
-          router->StartCanary(model, static_cast<int>(permille));
+      const Status started = router->StartCanary(model, permille);
       if (!started.ok()) {
         store->Retire(model->version);
         return started;

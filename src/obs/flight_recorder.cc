@@ -140,9 +140,6 @@ const char* FlightEventTypeName(FlightEventType type) {
     case FlightEventType::kServerStop: return "server_stop";
     case FlightEventType::kNetAcceptPause: return "net_accept_pause";
     case FlightEventType::kNetDeadlineShed: return "net_deadline_shed";
-    case FlightEventType::kReplicaQuarantine: return "replica_quarantine";
-    case FlightEventType::kReplicaReinstate: return "replica_reinstate";
-    case FlightEventType::kReplicaProbe: return "replica_probe";
   }
   return "unknown";
 }

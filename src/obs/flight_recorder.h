@@ -10,8 +10,8 @@ namespace fkd {
 namespace obs {
 
 /// What happened. Values are stable (they appear in dump files); append
-/// only. Values 6, 22, 24, 25, 46 and 47 are retired: older dumps may hold
-/// them, so they are never reused.
+/// only. Values 6, 22, 24, 25, 46, 47, 82, 83 and 84 are retired: older
+/// dumps may hold them, so they are never reused.
 enum class FlightEventType : uint32_t {
   kNone = 0,
   // Request lifecycle (a = request id, b = detail).
@@ -46,12 +46,9 @@ enum class FlightEventType : uint32_t {
   kNetProtocolError = 73,  ///< a = connection id, b = frame type (0 = framing)
   kServerStart = 74,       ///< a = bound port, b = event loops
   kServerStop = 75,        ///< a = responses dropped on dead connections
-  // Fault tolerance on the wire (quarantine, deadline shed, accept pause).
+  // Fault tolerance on the wire (deadline shed, accept pause).
   kNetAcceptPause = 80,    ///< a = consecutive failures, b = pause ms
   kNetDeadlineShed = 81,   ///< a = request id, b = us past the deadline
-  kReplicaQuarantine = 82, ///< a = engine index, b = failure permille
-  kReplicaReinstate = 83,  ///< a = engine index, b = probe successes
-  kReplicaProbe = 84,      ///< a = engine index, b = 1 on probe success
 };
 
 /// Human-readable tag for a dump line, e.g. "request_submit".

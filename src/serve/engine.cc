@@ -68,6 +68,7 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const Snapshot> snapshot,
   queue_us_ = registry.GetHistogram("fkd.serve.queue_us");
   batch_form_us_ = registry.GetHistogram("fkd.serve.batch_form_us");
   compute_us_ = registry.GetHistogram("fkd.serve.compute_us");
+  queue_depth_ = registry.GetGauge("fkd.serve.queue_depth");
 }
 
 InferenceEngine::~InferenceEngine() { Stop(); }
@@ -109,6 +110,7 @@ void InferenceEngine::Stop() {
         orphaned.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
+      queue_depth_->Add(-static_cast<double>(orphaned.size()));
     }
   }
   queue_cv_.notify_all();
@@ -169,6 +171,7 @@ Status InferenceEngine::Submit(ArticleRequest request,
           StrFormat("serve queue full (depth %zu)", queue_.size()));
     }
     queue_.push_back(std::move(pending));
+    queue_depth_->Add(1.0);
     depth_after = queue_.size();
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -204,6 +207,7 @@ void InferenceEngine::WorkerLoop() {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
+      queue_depth_->Add(-static_cast<double>(take));
     }
     // Leftover work may remain; let a sibling (or the next loop turn) have
     // it without waiting for another Submit's notify.
@@ -261,15 +265,11 @@ void InferenceEngine::ProcessBatch(std::vector<Pending> batch) {
 
   // Fail fast: a failed batch (site "serve.batch" lets tests inject one
   // deterministically) fails each of its requests once with that error.
-  // Retrying is the client's job; steering traffic off a sick replica is
-  // the router's quarantine.
+  // Retrying is the client's job.
   recorder_->Record(FlightEventType::kBatchStart, live.size(),
                     options_.version_tag);
   batches_.fetch_add(1, std::memory_order_relaxed);
-  Status batch_status = FaultInjector::Global().Inject("serve.batch");
-  if (batch_status.ok() && !options_.fault_site.empty()) {
-    batch_status = FaultInjector::Global().Inject(options_.fault_site);
-  }
+  const Status batch_status = FaultInjector::Global().Inject("serve.batch");
   if (!batch_status.ok()) {
     FKD_LOG_EVERY_N(Warning, 16)
         << "serve batch of " << live.size() << " failed: "
@@ -372,11 +372,6 @@ void InferenceEngine::TraceSlowRequest(const Classification& result) const {
   span("serve/queue", queue_start, batch_start - queue_start, 1);
   span("serve/batch_form", batch_start, compute_start - batch_start, 1);
   span("serve/compute", compute_start, done_us - compute_start, 1);
-}
-
-bool InferenceEngine::draining() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return stopping_;
 }
 
 EngineStats InferenceEngine::Stats() const {

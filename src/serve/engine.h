@@ -46,7 +46,7 @@ struct ArticleRequest {
 };
 
 /// Process-unique request id (monotone, never 0). Routers and engines use
-/// this one sequence so ids stay unique across replicas and generations.
+/// this one sequence so ids stay unique across engines and generations.
 uint64_t NextRequestId();
 
 /// A fulfilled classification.
@@ -107,13 +107,6 @@ struct EngineOptions {
   /// A Router sets it to the snapshot version the engine serves, so callers
   /// (and the hot-swap tests) can attribute each response to a version.
   uint64_t version_tag = 0;
-  /// Extra FKD_FAULTS site consulted per batch, *in addition to*
-  /// the shared "serve.batch" site. A Router names each replica's site
-  /// ("serve.replicaN.batch") so chaos drills can make exactly one replica
-  /// sick — the quarantine path is unreachable otherwise, since shared
-  /// faults sicken the whole fleet at once. Empty (default) = no extra
-  /// site, zero cost.
-  std::string fault_site;
   /// When runtime tracing is on (Tracer::Enable), requests whose total
   /// latency reaches this threshold are dumped as chrome-trace child spans
   /// (serve/request > queue/batch_form/compute), correlated by request_id.
@@ -169,21 +162,21 @@ struct EngineStats {
 ///  - shutdown: Stop() drains — started workers finish every queued
 ///    request (batch delay waived) before joining; anything still queued
 ///    on a never-started engine fails with Unavailable;
-///  - failures: a batch whose fault site or forward fails resolves each of
-///    its requests once with that error. The engine neither retries nor
-///    sheds; it reports outcomes and counts. NetClient is the one retry
-///    layer, and Router quarantine is the one replica health machine.
+///  - failures: a batch whose fault site ("serve.batch") or forward fails
+///    resolves each of its requests once with that error. The engine
+///    neither retries nor sheds; it reports outcomes and counts. NetClient
+///    is the one retry layer.
 ///
 /// Instrumentation (obs::MetricsRegistry::Default()): fkd.serve.requests
 /// (counter, labelled result=ok|rejected|expired|failed|unavailable),
 /// fkd.serve.batch_size, fkd.serve.latency_us, fkd.serve.queue_us,
 /// fkd.serve.batch_form_us and fkd.serve.compute_us (HDR histograms; read
-/// p50/p99/p999 via Histogram::Percentile); the queue depth is
-/// EngineStats::queue_depth, which the Router's health monitor sums into
-/// the fkd.serve.queue_depth gauge. Every request also leaves lifecycle
-/// events in the obs::FlightRecorder, and — with tracing runtime-enabled —
-/// slow requests leave per-stage chrome-trace spans (see
-/// EngineOptions::slow_trace_us).
+/// p50/p99/p999 via Histogram::Percentile) and the fkd.serve.queue_depth
+/// gauge: requests queued across every engine in the process, raised on
+/// enqueue and lowered when a worker (or Stop) takes them off the queue.
+/// Every request also leaves lifecycle events in the obs::FlightRecorder,
+/// and — with tracing runtime-enabled — slow requests leave per-stage
+/// chrome-trace spans (see EngineOptions::slow_trace_us).
 class InferenceEngine {
  public:
   explicit InferenceEngine(std::shared_ptr<const Snapshot> snapshot,
@@ -212,9 +205,6 @@ class InferenceEngine {
   Result<ClassificationFuture> Submit(ArticleRequest request);
 
   EngineStats Stats() const;
-  /// True once Stop() has begun: the engine takes no new work and is being
-  /// replaced or shut down, not sick.
-  bool draining() const;
   const EngineOptions& options() const { return options_; }
   const Snapshot& snapshot() const { return *snapshot_; }
 
@@ -273,6 +263,7 @@ class InferenceEngine {
   obs::Histogram* queue_us_;
   obs::Histogram* batch_form_us_;
   obs::Histogram* compute_us_;
+  obs::Gauge* queue_depth_;
 };
 
 }  // namespace serve

@@ -2,15 +2,11 @@
 #define FKD_SERVE_ROUTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
-#include "common/consistent_hash.h"
+#include "common/hash.h"
 #include "common/lru_cache.h"
 #include "common/status.h"
 #include "obs/flight_recorder.h"
@@ -21,47 +17,15 @@
 namespace fkd {
 namespace serve {
 
-/// Knobs of the replica health machine, the one place a sick replica is
-/// detected and kept out of rotation (see Router class comment). The
-/// failure ratio that quarantines, the probe text and the probe deadline
-/// are fixed in router.cc.
-struct QuarantineOptions {
-  /// Health-evaluation and probe cadence.
-  int64_t interval_ms = 200;
-  /// Fewest resolutions in one interval that a replica is scored on.
-  uint64_t min_samples = 8;
-  /// Consecutive successful probes required to reinstate a replica.
-  int probe_successes = 2;
-};
-
 /// Tuning knobs of the serving router.
 struct RouterOptions {
-  /// InferenceEngine replicas fronting the primary version. Requests are
-  /// placed on replicas by consistent hash of the request content, so one
-  /// article's repeats land on the same replica (warm batches) and
-  /// resizing the fleet remaps only ~1/N of the keys.
-  size_t num_replicas = 2;
-  /// Replicas fronting a canary version (usually fewer than the primary).
-  size_t canary_replicas = 1;
-  /// Virtual nodes per replica on the placement ring.
-  size_t ring_vnodes = 64;
-  /// Per-engine options. `version_tag` and `completion_hook` are owned by
-  /// the router and overwritten per engine.
+  /// Options of each version's engine. `version_tag` and `completion_hook`
+  /// are owned by the router and overwritten per engine.
   EngineOptions engine;
   /// Score cache entries across all shards; 0 disables the cache.
   size_t cache_capacity = 4096;
   /// Independently locked cache shards.
   size_t cache_shards = 8;
-  /// Canary traffic share in permille (0..1000), decided deterministically
-  /// per request key. Defaults from FKD_CANARY_PCT (a percentage, e.g.
-  /// "5" or "2.5"); invalid or unset values mean 0.
-  uint32_t canary_permille = CanaryPermilleFromEnvironment();
-  /// Replica quarantine + self-healing (always on).
-  QuarantineOptions quarantine;
-
-  /// Parses FKD_CANARY_PCT into permille; out-of-range/garbage values are
-  /// warned about and treated as unset (0).
-  static uint32_t CanaryPermilleFromEnvironment();
 };
 
 /// Monotone counters describing a router's lifetime so far. Accounting
@@ -80,60 +44,40 @@ struct RouterStats {
   uint64_t swaps = 0;            ///< Primary publishes (incl. promotions).
   uint64_t active_version = 0;   ///< Current primary version (0 = none).
   uint64_t canary_version = 0;   ///< Current canary version (0 = none).
-  uint64_t quarantines = 0;      ///< Replicas taken out of rotation.
-  uint64_t reinstatements = 0;   ///< Replicas probed healthy and restored.
-  uint64_t probes = 0;           ///< Health probes sent to quarantined replicas.
-  uint64_t rerouted = 0;         ///< Submits re-placed off a quarantined replica.
-  size_t quarantined_now = 0;    ///< Replicas currently quarantined.
   LruCacheStats cache;           ///< Score-cache accounting.
 };
 
-/// Zero-downtime serving front-end: N micro-batching InferenceEngine
-/// replicas behind consistent-hash request placement, a sharded LRU score
-/// cache, per-version canary traffic splitting, and RCU-style hot-swap of
-/// the serving version.
+/// Zero-downtime serving front-end: one micro-batching InferenceEngine per
+/// serving version, a sharded LRU score cache, per-version canary traffic
+/// splitting, and RCU-style hot-swap of the serving version.
 ///
-///  - **Placement** — each request is hashed over its full content (text +
-///    graph ids); the ring maps the hash to a replica. Repeats of an
-///    article always hit the same replica and the same cache shard.
 ///  - **Score cache** — results are cached keyed by (snapshot version,
-///    request content hash), filled by the engines' completion hooks.
-///    A hit skips tokenisation and the GDU forward pass entirely and
-///    completes on the caller's thread (`Classification::from_cache`).
-///    Versioned keys are the invalidation rule: publishing a new version
-///    changes every key, so stale scores are never served — old-version
-///    entries simply age out of the LRU.
-///  - **Hot swap** — Publish(model) builds and starts fresh replicas on
-///    the new version, atomically switches new submissions over, and only
-///    then drains the old replicas (queued and in-flight requests finish
-///    on the version they were submitted against). After Publish returns,
-///    every engine-served response carries the new version. No request is
-///    ever rejected because of a swap.
-///  - **Canary** — StartCanary(model) routes a deterministic
-///    `canary_permille` slice of request keys (FKD_CANARY_PCT) to replicas
-///    on the canary version; PromoteCanary() makes it the primary via the
-///    same drain-free swap, StopCanary() abandons it.
-///  - **Quarantine + self-healing** — the one replica health machine.
-///    Engines fail fast and only count outcomes; a monitor thread scores
-///    every replica each interval on `failed + expired` against
-///    `completed + failed + expired` over that interval. A sick replica is
-///    quarantined: placement walks its hash range forward to the next
-///    healthy peer (all-quarantined degrades to the original placement —
-///    still serving beats refusing). While quarantined, the replica
-///    receives periodic probe requests instead of traffic;
-///    `probe_successes` consecutive successes reinstate it and its hash
-///    range snaps back. Probes go straight to the engine, so router
-///    accounting (`submitted == cache_hits + primary_requests +
-///    canary_requests`) is unaffected. State machine per replica:
-///      healthy --(failure ratio >= 1/2 over >= min_samples)-->
-///      quarantined --(probe_successes consecutive probe oks)--> healthy
+///    request content hash over text + graph ids), filled by the engines'
+///    completion hooks. A hit skips tokenisation and the GDU forward pass
+///    entirely and completes on the caller's thread
+///    (`Classification::from_cache`). Versioned keys are the invalidation
+///    rule: publishing a new version changes every key, so stale scores
+///    are never served — old-version entries simply age out of the LRU.
+///  - **Hot swap** — Publish(model) builds and starts a fresh engine on the
+///    new version, atomically switches new submissions over, and only then
+///    drains the old engine (queued and in-flight requests finish on the
+///    version they were submitted against). After Publish returns, every
+///    engine-served response carries the new version. No request is ever
+///    rejected because of a swap.
+///  - **Canary** — StartCanary(model, permille) routes a deterministic
+///    slice of request keys to an engine on the canary version;
+///    PromoteCanary() makes it the primary via the same drain-free swap,
+///    StopCanary() abandons it.
+///
+/// A failed batch fails each of its requests once (the engine fails fast)
+/// and NetClient retries them; with one engine per version, a retry
+/// reaches the same engine by construction.
 ///
 /// Instrumentation (obs::MetricsRegistry::Default()): fkd.serve.cache_hit,
 /// fkd.serve.cache_miss, fkd.serve.canary and fkd.serve.swap counters, the
-/// fkd.serve.active_version gauge, the fkd.serve.queue_depth gauge (requests
-/// queued across the primary and canary engines, published by the health
-/// monitor every interval) and a "serve/swap" trace span around every
-/// publish (FKD_ENABLE_TRACING builds).
+/// fkd.serve.active_version gauge and a "serve/swap" trace span around
+/// every publish (FKD_ENABLE_TRACING builds). The engines keep the
+/// fkd.serve.queue_depth gauge.
 ///
 /// Thread-safe: Submit may race with Publish/StartCanary/PromoteCanary —
 /// that is the point.
@@ -145,16 +89,15 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Brings up the primary replicas on `initial`. One Start per router.
+  /// Brings up the primary engine on `initial`. One Start per router.
   Status Start(std::shared_ptr<const ServingModel> initial);
 
-  /// Classifies one article: cache lookup first, then consistent-hash
-  /// placement onto a primary (or canary) replica. A cache hit runs `done`
-  /// on the calling thread before Submit returns, after the router mutex
-  /// is released (so `done` may re-enter Submit); a miss hands `done` to
-  /// the engine, which runs it on a worker. Returns the engine error, and
-  /// never runs `done`, when the chosen replica refuses (queue full /
-  /// stopped) or the router is not serving.
+  /// Classifies one article: cache lookup first, then the primary (or
+  /// canary) engine. A cache hit runs `done` on the calling thread before
+  /// Submit returns, after the router mutex is released (so `done` may
+  /// re-enter Submit); a miss hands `done` to the engine, which runs it on
+  /// a worker. Returns the engine error, and never runs `done`, when the
+  /// engine refuses (queue full / stopped) or the router is not serving.
   Status Submit(ArticleRequest request, ClassificationCallback done);
 
   /// Future-returning form of the above.
@@ -166,10 +109,10 @@ class Router {
   /// returns.
   Status Publish(std::shared_ptr<const ServingModel> model);
 
-  /// Starts a canary on `model`. `permille_override` < 0 keeps the
-  /// configured canary_permille. Replaces (and drains) a previous canary.
+  /// Starts a canary on `model` that serves `permille` (0..1000) of
+  /// request keys. Replaces (and drains) a previous canary.
   Status StartCanary(std::shared_ptr<const ServingModel> model,
-                     int permille_override = -1);
+                     uint32_t permille);
 
   /// Promotes the current canary to primary (drains the old primary).
   Status PromoteCanary();
@@ -177,7 +120,7 @@ class Router {
   /// Drops and drains the canary; its traffic share returns to the primary.
   Status StopCanary();
 
-  /// Drains and joins every replica. Idempotent; Submit afterwards fails
+  /// Drains and joins every engine. Idempotent; Submit afterwards fails
   /// with Unavailable.
   void Stop();
 
@@ -188,17 +131,14 @@ class Router {
   const RouterOptions& options() const { return options_; }
 
   /// Stable 64-bit content hash of a request (text + creator + subjects) —
-  /// the placement and cache-key hash, exposed for tests.
+  /// the cache-key and canary-split hash, exposed for tests.
   static uint64_t RequestKey(const ArticleRequest& request);
 
  private:
-  /// One serving version's fleet: engines all built on the same snapshot.
+  /// One serving version: its model and the engine serving it.
   struct Generation {
     std::shared_ptr<const ServingModel> model;
-    std::vector<std::unique_ptr<InferenceEngine>> engines;
-    /// Per-engine quarantine flags (1 = out of rotation), index-aligned
-    /// with `engines`. Guarded by the router mutex_.
-    std::vector<char> quarantined;
+    std::unique_ptr<InferenceEngine> engine;
   };
 
   /// Cache key: the snapshot version scopes the content hash, so a swap
@@ -217,39 +157,23 @@ class Router {
   };
   using ScoreCache = ShardedLruCache<CacheKey, Classification, CacheKeyHash>;
 
-  /// Builds and starts `replicas` engines on `model`.
+  /// Builds and starts the engine serving `model`.
   Result<std::shared_ptr<Generation>> BuildGeneration(
-      std::shared_ptr<const ServingModel> model, size_t replicas);
-  /// Stops every engine of `generation` (drains); null-safe.
+      std::shared_ptr<const ServingModel> model);
+  /// Stops the engine of `generation` (drains); null-safe.
   static void DrainGeneration(const std::shared_ptr<Generation>& generation);
 
-  /// Health monitor thread: quarantine scoring + probing (see class
-  /// comment).
-  void MonitorMain();
-  /// One monitor pass over `generation`; `history` is the monitor-local
-  /// per-engine bookkeeping (previous stats snapshot, probe streak).
-  /// Returns the requests queued on the generation's engines.
-  struct ReplicaHealth {
-    EngineStats prev;
-    int probe_streak = 0;
-    bool seeded = false;  ///< prev is a real baseline, not zero-init
-  };
-  size_t MonitorGeneration(
-      const std::shared_ptr<Generation>& generation,
-      std::unordered_map<const InferenceEngine*, ReplicaHealth>* history);
-
   RouterOptions options_;
-  ConsistentHashRing ring_;
 
   // Destruction order matters: engines (inside the generations) may still
   // run completion hooks into the cache while stopping, so the cache is
   // declared first (destroyed last).
   std::unique_ptr<ScoreCache> cache_;
 
-  /// Guards the generation pointers. Submit holds it across placement AND
-  /// the engine Submit so a concurrent swap cannot stop an engine between
-  /// the two (the swap's pointer switch happens under this mutex; the old
-  /// generation's drain happens outside it).
+  /// Guards the generation pointers. Submit holds it across the canary
+  /// split AND the engine Submit so a concurrent swap cannot stop an
+  /// engine between the two (the swap's pointer switch happens under this
+  /// mutex; the old generation's drain happens outside it).
   mutable std::mutex mutex_;
   std::shared_ptr<Generation> primary_;
   std::shared_ptr<Generation> canary_;
@@ -264,16 +188,6 @@ class Router {
   std::atomic<uint64_t> primary_requests_{0};
   std::atomic<uint64_t> canary_requests_{0};
   std::atomic<uint64_t> swaps_{0};
-  std::atomic<uint64_t> quarantines_{0};
-  std::atomic<uint64_t> reinstatements_{0};
-  std::atomic<uint64_t> probes_{0};
-  std::atomic<uint64_t> rerouted_{0};
-
-  // Health monitor (quarantine + self-healing).
-  std::thread monitor_;
-  std::mutex monitor_mutex_;
-  std::condition_variable monitor_cv_;
-  bool monitor_stop_ = false;
 
   obs::FlightRecorder* recorder_;
   obs::Counter* cache_hit_total_;
@@ -282,11 +196,6 @@ class Router {
   obs::Counter* canary_total_;
   obs::Counter* swap_total_;
   obs::Gauge* active_version_gauge_;
-  obs::Gauge* queue_depth_gauge_;
-  obs::Counter* quarantine_total_;
-  obs::Counter* reinstate_total_;
-  obs::Counter* probe_total_;
-  obs::Gauge* quarantined_gauge_;
   obs::Histogram* cache_us_;
 };
 

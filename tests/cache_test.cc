@@ -3,8 +3,7 @@
 //  - LruCache / ShardedLruCache: capacity, eviction order, and
 //    hit/miss/eviction accounting invariants, pinned by randomized
 //    operation sequences checked against a naive reference model;
-//  - ConsistentHashRing: key balance across nodes and minimal remapping
-//    when a node joins or leaves.
+//  - Hash64 / Hash64Mix: the stable content hash behind cache keys.
 //
 // The Cache* suites also run under TSan (tools/tsan_smoke.sh) to cover the
 // sharded cache's per-shard locking.
@@ -14,12 +13,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/consistent_hash.h"
+#include "common/hash.h"
 #include "common/lru_cache.h"
 #include "common/rng.h"
 
@@ -161,7 +159,9 @@ TEST(CacheTest, RandomizedOpsMatchReferenceModel) {
       const bool hit = cache.Get(key, &got);
       const bool expected_hit = reference.Get(key, &expected);
       ASSERT_EQ(hit, expected_hit) << "op " << op << " key " << key;
-      if (hit) ASSERT_EQ(got, expected);
+      if (hit) {
+        ASSERT_EQ(got, expected);
+      }
     } else if (which < 0.9) {
       const int value = static_cast<int>(op);
       cache.Put(key, value);
@@ -265,119 +265,15 @@ TEST(CacheTest, ConcurrentReadersAndWritersKeepAccountingExact) {
   EXPECT_LE(stats.size, 128u);
 }
 
-// ---- consistent hashing -----------------------------------------------------------
+// ---- hashing ----------------------------------------------------------------------
 
-TEST(ConsistentHashTest, Hash64IsStableAndSensitive) {
-  // Pinned value: the hash must be stable across platforms/runs (cache
-  // keys and ring placement depend on it).
+TEST(HashTest, Hash64IsStableAndSensitive) {
+  // The hash must be stable across platforms/runs (cache keys and the
+  // canary split depend on it).
   EXPECT_EQ(Hash64("fakedetector"), Hash64("fakedetector"));
   EXPECT_NE(Hash64("fakedetector"), Hash64("fakedetectos"));
   EXPECT_NE(Hash64(""), Hash64("\0", 1));
   EXPECT_NE(Hash64Mix(1, 2), Hash64Mix(2, 1)) << "mix is order-sensitive";
-}
-
-TEST(ConsistentHashTest, PickIsDeterministicAndCoversAllNodes) {
-  ConsistentHashRing ring(64);
-  for (uint64_t node = 0; node < 4; ++node) ring.AddNode(node);
-  EXPECT_EQ(ring.num_nodes(), 4u);
-  EXPECT_EQ(ring.Nodes(), (std::vector<uint64_t>{0, 1, 2, 3}));
-
-  std::map<uint64_t, size_t> assignments;
-  for (uint64_t key = 0; key < 4000; ++key) {
-    const uint64_t hash = Hash64Mix(7, key);
-    const uint64_t node = ring.Pick(hash);
-    EXPECT_EQ(node, ring.Pick(hash)) << "placement must be deterministic";
-    ++assignments[node];
-  }
-  EXPECT_EQ(assignments.size(), 4u) << "every node owns some keys";
-}
-
-TEST(ConsistentHashTest, BalanceWithinSmallFactorOfEven) {
-  // With 128 vnodes/node, no node should carry more than ~2x (or less
-  // than ~1/2x) its even share of a large key population.
-  constexpr size_t kNodes = 8;
-  constexpr size_t kKeys = 40000;
-  ConsistentHashRing ring(128);
-  for (uint64_t node = 0; node < kNodes; ++node) ring.AddNode(node);
-
-  std::map<uint64_t, size_t> load;
-  for (uint64_t key = 0; key < kKeys; ++key) {
-    ++load[ring.Pick(Hash64Mix(13, key))];
-  }
-  const double even = static_cast<double>(kKeys) / kNodes;
-  for (const auto& [node, count] : load) {
-    EXPECT_GT(count, even / 2) << "node " << node << " underloaded";
-    EXPECT_LT(count, even * 2) << "node " << node << " overloaded";
-  }
-}
-
-TEST(ConsistentHashTest, AddingNodeRemapsOnlyItsShare) {
-  constexpr size_t kNodes = 8;
-  constexpr size_t kKeys = 20000;
-  ConsistentHashRing ring(128);
-  for (uint64_t node = 0; node < kNodes; ++node) ring.AddNode(node);
-
-  std::vector<uint64_t> before(kKeys);
-  for (uint64_t key = 0; key < kKeys; ++key) {
-    before[key] = ring.Pick(Hash64Mix(17, key));
-  }
-
-  ring.AddNode(kNodes);  // node 8 joins
-  size_t moved = 0;
-  for (uint64_t key = 0; key < kKeys; ++key) {
-    const uint64_t now = ring.Pick(Hash64Mix(17, key));
-    if (now != before[key]) {
-      ++moved;
-      // Minimal-remap property: a key may only move TO the new node; no
-      // key moves between two pre-existing nodes.
-      EXPECT_EQ(now, kNodes) << "key " << key << " moved between old nodes";
-    }
-  }
-  // The new node's fair share is 1/9; allow generous slack either way but
-  // require far less churn than rehash-everything (which would move 8/9).
-  EXPECT_GT(moved, kKeys / 30);
-  EXPECT_LT(moved, kKeys / 4);
-}
-
-TEST(ConsistentHashTest, RemovingNodeOnlyRehomesItsKeys) {
-  constexpr size_t kNodes = 6;
-  constexpr size_t kKeys = 20000;
-  ConsistentHashRing ring(128);
-  for (uint64_t node = 0; node < kNodes; ++node) ring.AddNode(node);
-
-  std::vector<uint64_t> before(kKeys);
-  for (uint64_t key = 0; key < kKeys; ++key) {
-    before[key] = ring.Pick(Hash64Mix(23, key));
-  }
-
-  constexpr uint64_t kVictim = 3;
-  ring.RemoveNode(kVictim);
-  EXPECT_EQ(ring.num_nodes(), kNodes - 1);
-  EXPECT_FALSE(ring.HasNode(kVictim));
-
-  for (uint64_t key = 0; key < kKeys; ++key) {
-    const uint64_t now = ring.Pick(Hash64Mix(23, key));
-    if (before[key] != kVictim) {
-      EXPECT_EQ(now, before[key])
-          << "key " << key << " moved though its node survived";
-    } else {
-      EXPECT_NE(now, kVictim);
-    }
-  }
-}
-
-TEST(ConsistentHashTest, AddRemoveRoundTripRestoresPlacement) {
-  ConsistentHashRing ring(64);
-  for (uint64_t node = 0; node < 5; ++node) ring.AddNode(node);
-  std::vector<uint64_t> before;
-  for (uint64_t key = 0; key < 1000; ++key) {
-    before.push_back(ring.Pick(Hash64Mix(29, key)));
-  }
-  ring.AddNode(99);
-  ring.RemoveNode(99);
-  for (uint64_t key = 0; key < 1000; ++key) {
-    EXPECT_EQ(ring.Pick(Hash64Mix(29, key)), before[key]);
-  }
 }
 
 }  // namespace

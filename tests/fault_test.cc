@@ -11,6 +11,7 @@
 #include "common/file_io.h"
 #include "common/logging.h"
 #include "common/manifest.h"
+#include "common/string_util.h"
 
 namespace fkd {
 namespace {
@@ -223,7 +224,7 @@ TEST(StagedDirTest, CommitReplacesExistingDirectory) {
     auto staged = StagedDir::Create(final_path);
     ASSERT_TRUE(staged.ok());
     ASSERT_TRUE(WriteStringToFile(staged.value().path() + "/payload.txt",
-                                  "v" + std::to_string(version))
+                                  StrFormat("v%d", version))
                     .ok());
     ASSERT_TRUE(staged.value().Commit().ok());
   }

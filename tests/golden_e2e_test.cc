@@ -224,10 +224,8 @@ std::vector<std::vector<float>> ScoreThroughRouter(
   FKD_CHECK_OK(model.status());
 
   RouterOptions options;
-  options.num_replicas = 2;
   options.engine.num_workers = 1;
   options.engine.max_batch_delay_us = 0;
-  options.canary_permille = 0;
   Router router(options);
   FKD_CHECK_OK(router.Start(model.value()));
 

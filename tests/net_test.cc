@@ -114,12 +114,10 @@ std::string SampleText(size_t i) {
 
 serve::RouterOptions FastRouterOptions() {
   serve::RouterOptions options;
-  options.num_replicas = 1;
   options.engine.num_workers = 1;
   options.engine.max_batch_size = 8;
   options.engine.max_batch_delay_us = 200;
   options.engine.max_queue_depth = 4096;
-  options.canary_permille = 0;
   return options;
 }
 
@@ -861,8 +859,7 @@ TEST(NetServerTest, ReloadHandlersRetireEveryReplacedVersion) {
   ASSERT_TRUE(RequestCanary("127.0.0.1", port, 0).ok());
 
   // Only the serving version stays registered; every retired one dies once
-  // its last reference drains (the quarantine monitor may hold a fleet for
-  // one more pass).
+  // its last reference drains.
   const uint64_t active = harness->router->active_version();
   EXPECT_EQ(active, 11u);
   EXPECT_EQ(harness->store->ResidentVersions(), std::vector<uint64_t>{active});
@@ -1668,8 +1665,7 @@ TEST(NetChaosTest, ExpiredDeadlineIsShedAtAdmissionNeverScored) {
 TEST(NetChaosTest, FailedBatchIsRetriedOnlyByTheClient) {
   // One retry layer: the client, which owns the deadline. The engine fails
   // a batch fast, so each client attempt runs exactly one batch and the
-  // attempts never multiply. Four failures stay under the quarantine
-  // monitor's default min_samples, so no probe adds batches.
+  // attempts never multiply.
   FaultGuard guard;
   auto harness = StartHarness();
   ASSERT_TRUE(FaultInjector::Global().Configure("serve.batch:fail").ok());

@@ -48,12 +48,6 @@ std::string TestDir(const std::string& stem) {
   return path;
 }
 
-uint32_t FloatBits(float value) {
-  uint32_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
 // ---- fp16 ------------------------------------------------------------------
 
 TEST(QuantTest, Fp16KnownValues) {
@@ -441,7 +435,9 @@ TEST(TierTest, LzDecompressRejectsGarbage) {
                                            1000 + trial);
     std::string out;
     const Status s = lz->Decompress(garbage, 1 << 16, &out);
-    if (s.ok()) EXPECT_EQ(out.size(), 1u << 16);
+    if (s.ok()) {
+      EXPECT_EQ(out.size(), 1u << 16);
+    }
   }
 }
 

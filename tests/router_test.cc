@@ -10,9 +10,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -99,12 +97,10 @@ std::string SampleText(size_t i) {
 /// queue so overload never rejects during the stress test.
 RouterOptions FastRouterOptions() {
   RouterOptions options;
-  options.num_replicas = 2;
   options.engine.num_workers = 1;
   options.engine.max_batch_size = 8;
   options.engine.max_batch_delay_us = 200;
   options.engine.max_queue_depth = 4096;
-  options.canary_permille = 0;  // tests opt in explicitly
   return options;
 }
 
@@ -400,23 +396,6 @@ TEST(RouterTest, StopCanaryReturnsTrafficToPrimary) {
   router.Stop();
 }
 
-TEST(RouterTest, CanaryPermilleEnvParsing) {
-  ASSERT_EQ(setenv("FKD_CANARY_PCT", "5", 1), 0);
-  EXPECT_EQ(RouterOptions::CanaryPermilleFromEnvironment(), 50u);
-  ASSERT_EQ(setenv("FKD_CANARY_PCT", "2.5", 1), 0);
-  EXPECT_EQ(RouterOptions::CanaryPermilleFromEnvironment(), 25u);
-  ASSERT_EQ(setenv("FKD_CANARY_PCT", "100", 1), 0);
-  EXPECT_EQ(RouterOptions::CanaryPermilleFromEnvironment(), 1000u);
-  // Garbage, negatives and out-of-range values are ignored, not honoured.
-  for (const char* bad : {"auto", "-3", "250", "5x", ""}) {
-    ASSERT_EQ(setenv("FKD_CANARY_PCT", bad, 1), 0);
-    EXPECT_EQ(RouterOptions::CanaryPermilleFromEnvironment(), 0u)
-        << "FKD_CANARY_PCT=" << bad;
-  }
-  ASSERT_EQ(unsetenv("FKD_CANARY_PCT"), 0);
-  EXPECT_EQ(RouterOptions::CanaryPermilleFromEnvironment(), 0u);
-}
-
 // ---- hot-swap stress --------------------------------------------------------------
 
 // The acceptance test of this PR: sustained concurrent load while 10 live
@@ -430,9 +409,7 @@ TEST(RouterTest, CanaryPermilleEnvParsing) {
 TEST(RouterTest, HotSwapStressZeroDowntime) {
   const auto& fixture = SharedFixture();
   VersionedModelStore store;
-  RouterOptions options = FastRouterOptions();
-  options.num_replicas = 2;
-  Router router(options);
+  Router router(FastRouterOptions());
   auto initial = LoadVersion(&store);
   ASSERT_TRUE(store.Publish(initial->version).ok());
   ASSERT_TRUE(router.Start(initial).ok());
@@ -656,169 +633,13 @@ TEST(RouterCallbackTest, CallbackAndFutureResultsAreBitwiseIdentical) {
   }
 }
 
-// ==== QuarantineTest: replica quarantine + self-healing ======================
+// ==== the engine's queue-depth gauge ==========================================
 
-/// Router options tuned so the monitor reacts within a few hundred ms:
-/// fast intervals, tiny sample floor, single probe to reinstate. The score
-/// cache is disabled so every request exercises an engine.
-RouterOptions QuarantineRouterOptions() {
-  RouterOptions options = FastRouterOptions();
-  options.cache_capacity = 0;
-  options.quarantine.interval_ms = 50;
-  options.quarantine.min_samples = 2;
-  options.quarantine.probe_successes = 1;
-  return options;
-}
-
-/// Spins until `predicate` holds or `timeout_ms` passes.
-bool WaitFor(const std::function<bool()>& predicate, int64_t timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (predicate()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return predicate();
-}
-
-TEST(QuarantineTest, SickReplicaIsQuarantinedAndReinstated) {
-  const auto& fixture = SharedFixture();
-  FaultInjector::Global().Clear();
-  VersionedModelStore store;
-  auto model = store.Load(fixture.snapshot_dir);
-  ASSERT_TRUE(model.ok());
-
-  Router router(QuarantineRouterOptions());
-  ASSERT_TRUE(router.Start(model.value()).ok());
-
-  // Make replica 0's private fault site fail every batch; replica 1 stays
-  // healthy, so this is exactly the one-sick-replica scenario quarantine
-  // exists for.
-  ASSERT_TRUE(
-      FaultInjector::Global().Configure("serve.replica0.batch:fail").ok());
-
-  // Drive engine-bound traffic until the monitor quarantines replica 0.
-  // Requests on the sick replica fail fast with IoError; that is the
-  // signal being scored, not a test failure.
-  std::atomic<bool> stop{false};
-  std::thread driver([&] {
-    size_t i = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      ArticleRequest request;
-      request.text = SampleText(i) + " #" + std::to_string(i);
-      ++i;
-      auto submitted = router.Submit(std::move(request));
-      if (submitted.ok()) (void)submitted.value().get();
-    }
-  });
-
-  EXPECT_TRUE(WaitFor([&] { return router.Stats().quarantines >= 1; }, 5000))
-      << "sick replica was never quarantined";
-
-  // Heal the replica: probes must now succeed and reinstate it.
-  FaultInjector::Global().Clear();
-  EXPECT_TRUE(
-      WaitFor([&] { return router.Stats().reinstatements >= 1; }, 5000))
-      << "healed replica was never reinstated";
-
-  stop.store(true, std::memory_order_release);
-  driver.join();
-  const RouterStats stats = router.Stats();
-  router.Stop();
-
-  // While quarantined, replica 0's hash range was re-placed onto replica 1.
-  EXPECT_GE(stats.quarantines, 1u);
-  EXPECT_GE(stats.reinstatements, 1u);
-  EXPECT_GE(stats.probes, 1u);
-  EXPECT_GT(stats.rerouted, 0u);
-  EXPECT_EQ(stats.quarantined_now, 0u);
-  // Probes bypass Submit, so the router accounting invariant is intact.
-  EXPECT_EQ(stats.submitted,
-            stats.cache_hits + stats.primary_requests +
-                stats.canary_requests);
-}
-
-TEST(QuarantineTest, HealthyFleetIsNeverQuarantined) {
-  const auto& fixture = SharedFixture();
-  FaultInjector::Global().Clear();
-  VersionedModelStore store;
-  auto model = store.Load(fixture.snapshot_dir);
-  ASSERT_TRUE(model.ok());
-
-  Router router(QuarantineRouterOptions());
-  ASSERT_TRUE(router.Start(model.value()).ok());
-  for (size_t i = 0; i < 64; ++i) {
-    ArticleRequest request;
-    request.text = SampleText(i) + " healthy" + std::to_string(i);
-    auto submitted = router.Submit(std::move(request));
-    ASSERT_TRUE(submitted.ok());
-    auto result = submitted.value().get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-  }
-  // Give the monitor a few intervals to (wrongly) react.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  const RouterStats stats = router.Stats();
-  router.Stop();
-  EXPECT_EQ(stats.quarantines, 0u);
-  EXPECT_EQ(stats.rerouted, 0u);
-  EXPECT_EQ(stats.quarantined_now, 0u);
-}
-
-TEST(QuarantineTest, AllQuarantinedFallsBackToOriginalPlacement) {
-  const auto& fixture = SharedFixture();
-  FaultInjector::Global().Clear();
-  VersionedModelStore store;
-  auto model = store.Load(fixture.snapshot_dir);
-  ASSERT_TRUE(model.ok());
-
-  // Every replica sick: the shared serve.batch site fails everything, so
-  // both replicas quarantine. Submission must still be attempted (serving
-  // beats refusing), not crash or spin.
-  Router router(QuarantineRouterOptions());
-  ASSERT_TRUE(router.Start(model.value()).ok());
-  ASSERT_TRUE(FaultInjector::Global().Configure("serve.batch:fail").ok());
-
-  std::atomic<bool> stop{false};
-  std::thread driver([&] {
-    size_t i = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      ArticleRequest request;
-      request.text = SampleText(i) + " sick" + std::to_string(i);
-      ++i;
-      auto submitted = router.Submit(std::move(request));
-      if (submitted.ok()) (void)submitted.value().get();
-    }
-  });
-  EXPECT_TRUE(WaitFor([&] { return router.Stats().quarantines >= 2; }, 5000))
-      << "both replicas should quarantine";
-
-  // Still accepting work while the whole fleet is quarantined.
-  ArticleRequest request;
-  request.text = SampleText(1) + " fallback";
-  auto submitted = router.Submit(std::move(request));
-  if (submitted.ok()) (void)submitted.value().get();
-
-  FaultInjector::Global().Clear();
-  EXPECT_TRUE(
-      WaitFor([&] { return router.Stats().reinstatements >= 2; }, 5000))
-      << "both replicas should heal";
-  stop.store(true, std::memory_order_release);
-  driver.join();
-  const RouterStats stats = router.Stats();
-  router.Stop();
-  EXPECT_EQ(stats.quarantined_now, 0u);
-  EXPECT_EQ(stats.submitted,
-            stats.cache_hits + stats.primary_requests +
-                stats.canary_requests);
-}
-
-// ==== the health monitor's queue-depth gauge ==================================
-
-TEST(RouterTest, MonitorPublishesQueueDepthGauge) {
+TEST(RouterTest, QueueDepthGaugeCountsQueuedRequests) {
   // fkd_obstop reads the engine queue from the unlabelled
-  // fkd.serve.queue_depth gauge, which the health monitor publishes every
-  // interval. Hold kQueued requests on one single-worker replica: the batch
-  // never fills and its wait is long, so they sit in the queue.
+  // fkd.serve.queue_depth gauge, which every engine keeps exact. Hold
+  // kQueued requests on a single-worker engine: the batch never fills and
+  // its wait is long, so they sit in the queue.
   const auto& fixture = SharedFixture();
   FaultInjector::Global().Clear();
   VersionedModelStore store;
@@ -827,15 +648,14 @@ TEST(RouterTest, MonitorPublishesQueueDepthGauge) {
 
   constexpr size_t kQueued = 5;
   RouterOptions options = FastRouterOptions();
-  options.num_replicas = 1;
   options.cache_capacity = 0;
   options.engine.max_batch_size = 16;
   options.engine.max_batch_delay_us = 1'500'000;
-  options.quarantine.interval_ms = 20;
   Router router(options);
   ASSERT_TRUE(router.Start(model.value()).ok());
   const obs::Gauge* depth =
       obs::MetricsRegistry::Default().GetGauge("fkd.serve.queue_depth");
+  const double depth_before = depth->Value();
 
   std::vector<ClassificationFuture> futures;
   for (size_t i = 0; i < kQueued; ++i) {
@@ -845,12 +665,9 @@ TEST(RouterTest, MonitorPublishesQueueDepthGauge) {
     ASSERT_TRUE(submitted.ok());
     futures.push_back(std::move(submitted).value());
   }
-  EXPECT_TRUE(WaitFor(
-      [&] { return depth->Value() == static_cast<double>(kQueued); }, 1000))
-      << "gauge read " << depth->Value() << " with " << kQueued << " queued";
+  EXPECT_EQ(depth->Value(), depth_before + static_cast<double>(kQueued));
   for (auto& future : futures) ASSERT_TRUE(future.get().ok());
-  EXPECT_TRUE(WaitFor([&] { return depth->Value() == 0.0; }, 1000))
-      << "gauge read " << depth->Value() << " after the batch ran";
+  EXPECT_EQ(depth->Value(), depth_before);
   router.Stop();
 }
 

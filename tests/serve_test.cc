@@ -289,6 +289,11 @@ TEST(ServeEngineTest, BoundedQueueRejectsWithBackpressure) {
   options.max_queue_depth = 3;
   // Never started: the queue fills deterministically.
   InferenceEngine engine(fixture.snapshot, options);
+  // The process-wide gauge counts exactly the accepted requests, not the
+  // refused one.
+  const obs::Gauge* depth =
+      obs::MetricsRegistry::Default().GetGauge("fkd.serve.queue_depth");
+  const double depth_before = depth->Value();
   std::vector<ClassificationFuture> futures;
   for (size_t i = 0; i < options.max_queue_depth; ++i) {
     auto submitted = engine.Submit(ArticleRequest{"text", -1, {}, 0});
@@ -298,9 +303,13 @@ TEST(ServeEngineTest, BoundedQueueRejectsWithBackpressure) {
   auto overflow = engine.Submit(ArticleRequest{"text", -1, {}, 0});
   ASSERT_FALSE(overflow.ok());
   EXPECT_EQ(overflow.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(depth->Value(),
+            depth_before + static_cast<double>(options.max_queue_depth));
 
-  // Stop without starting: queued futures fail instead of blocking.
+  // Stop without starting: queued futures fail instead of blocking, and
+  // the gauge drops back by the failed queue.
   engine.Stop();
+  EXPECT_EQ(depth->Value(), depth_before);
   for (auto& future : futures) {
     auto result = future.get();
     ASSERT_FALSE(result.ok());
@@ -523,16 +532,6 @@ TEST(ServeEngineTest, FatalBatchFailureIsNotRetried) {
   EXPECT_EQ(engine.Stats().failed, 1u);
   EXPECT_EQ(engine.Stats().completed, 1u);
   EXPECT_EQ(engine.Stats().batches, 2u) << "one batch per request";
-}
-
-TEST(ServeEngineTest, HealthReportsDrainingOnceStopped) {
-  const auto& fixture = SharedFixture();
-  InferenceEngine engine(fixture.snapshot);
-  EXPECT_FALSE(engine.draining());
-  ASSERT_TRUE(engine.Start().ok());
-  EXPECT_FALSE(engine.draining());
-  engine.Stop();
-  EXPECT_TRUE(engine.draining());
 }
 
 // ---- completion callbacks -------------------------------------------------------

@@ -38,6 +38,6 @@ export ASAN_OPTIONS="detect_leaks=0 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1 ${UBSAN_OPTIONS:-}"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-  -R '^(Serve|Router|Store|Cache|ConsistentHash|Fault|Crash|ThreadPool|Compute|Net|LoadGen|Quarantine|Quant|Tier|RetryPolicy|Clock|VocabularyTest\.ConstLookups)'
+  -R '^(Serve|Router|Store|Cache|Hash|Fault|Crash|ThreadPool|Compute|Net|LoadGen|Quant|Tier|RetryPolicy|Clock|VocabularyTest\.ConstLookups)'
 
 echo "asan smoke: OK"

@@ -1,23 +1,20 @@
 // End-to-end network chaos soak: boots the full serving stack in-process
-// (snapshot -> Router with quarantine -> epoll server), drives it with the
-// resilient closed-loop load generator, and walks a deterministic fault
-// schedule through the socket-layer and replica-level FKD_FAULTS sites:
+// (snapshot -> Router -> epoll server), drives it with the resilient
+// closed-loop load generator, and walks a deterministic fault schedule
+// through the socket-layer FKD_FAULTS sites:
 //
-//   phase 1 (10% of the soak)  network chaos: accept failures (EMFILE
-//                              path), torn sends, injected RSTs, delayed
-//                              readiness, dropped eventfd wakeups
-//   phase 2 (30%)              replica 0 forced sick (every batch on its
-//                              private serve.replica0.batch site fails)
-//                              until the router quarantines it
-//   phase 3 (60%)              faults cleared; probes must reinstate the
-//                              replica before the soak ends
+//   at 10% of the soak  network chaos: accept failures (EMFILE path), torn
+//                       sends, injected RSTs, delayed readiness, dropped
+//                       eventfd wakeups
+//   at 30%              faults cleared; the stack must recover and keep
+//                       serving until the soak ends
 //
 // Exit is non-zero unless every gate holds:
 //   - zero silent drops: classify_frames == ok + error + dropped
 //   - router accounting: submitted == cache_hits + primary + canary
-//   - the sick replica was quarantined AND reinstated
-//   - the client made progress (ok > 0) and classified every terminal
-//     outcome (ok/shed/deadline/io/other all reported, nothing vanished)
+//   - the client made progress (ok > 0) under chaos
+//   - the client classified every terminal outcome (ok/shed/deadline/io/
+//     other all reported, nothing vanished) and never failed to connect
 //
 //   ./fkd_chaos_drill            # full 60 s soak
 //   ./fkd_chaos_drill --quick    # ~5 s variant, registered as a tier-1 test
@@ -137,15 +134,7 @@ int main(int argc, char** argv) {
   FKD_CHECK_OK(model.status());
   FKD_CHECK_OK(store.Publish(model.value()->version));
 
-  fkd::serve::RouterOptions router_options;
-  router_options.num_replicas = 2;
-  router_options.engine.num_workers = 2;
-  // Fast-reacting quarantine so the quick soak sees the full state machine:
-  // sicken -> quarantine -> probe -> reinstate.
-  router_options.quarantine.interval_ms = quick ? 100 : 200;
-  router_options.quarantine.min_samples = 4;
-  router_options.quarantine.probe_successes = 2;
-  fkd::serve::Router router(router_options);
+  fkd::serve::Router router;
   FKD_CHECK_OK(router.Start(model.value()));
 
   fkd::net::ServerOptions server_options;
@@ -166,9 +155,8 @@ int main(int argc, char** argv) {
   load_options.duration_ms = duration_ms;
   load_options.warmup_ms = 0;  // chaos phases are the point, measure it all
   load_options.drain_timeout_ms = quick ? 2000 : 5000;
-  // Engine-bound traffic: unique texts defeat the score cache, so replica
-  // 0's injected batch failures actually surface and the health monitor
-  // has failure samples to score.
+  // Engine-bound traffic: unique texts defeat the score cache, so every
+  // request crosses the engine queue while the sockets misbehave.
   load_options.unique_requests = true;
   load_options.corpus = BuildCorpus(64);
 
@@ -192,11 +180,7 @@ int main(int argc, char** argv) {
       "net.ready:fail@3*5,net.eventfd:fail@2*2"));
 
   sleep_until_fraction(0.30);
-  std::printf("[chaos] replica 0 forced sick\n");
-  FKD_CHECK_OK(faults.Configure("serve.replica0.batch:fail"));
-
-  sleep_until_fraction(0.60);
-  std::printf("[chaos] faults cleared; waiting for reinstatement\n");
+  std::printf("[chaos] faults cleared\n");
   faults.Clear();
 
   load_thread.join();
@@ -219,13 +203,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(sstats.responses_dropped),
       static_cast<unsigned long long>(sstats.accept_pauses));
   std::printf(
-      "router: %llu submitted, %llu quarantines, %llu reinstatements, "
-      "%llu probes, %llu rerouted\n",
+      "router: %llu submitted, %llu cache hits, %llu primary, %llu canary, "
+      "%llu rejected\n",
       static_cast<unsigned long long>(rstats.submitted),
-      static_cast<unsigned long long>(rstats.quarantines),
-      static_cast<unsigned long long>(rstats.reinstatements),
-      static_cast<unsigned long long>(rstats.probes),
-      static_cast<unsigned long long>(rstats.rerouted));
+      static_cast<unsigned long long>(rstats.cache_hits),
+      static_cast<unsigned long long>(rstats.primary_requests),
+      static_cast<unsigned long long>(rstats.canary_requests),
+      static_cast<unsigned long long>(rstats.rejected));
 
   std::printf("gates:\n");
   Gate(sstats.classify_frames == sstats.responses_ok +
@@ -236,9 +220,6 @@ int main(int argc, char** argv) {
            rstats.cache_hits + rstats.primary_requests +
                rstats.canary_requests,
        "router accounting: submitted == cache_hits + primary + canary");
-  Gate(rstats.quarantines >= 1, "sick replica was quarantined");
-  Gate(rstats.reinstatements >= 1, "quarantined replica was reinstated");
-  Gate(rstats.quarantined_now == 0, "no replica still quarantined at rest");
   Gate(r.ok > 0, "client made progress under chaos");
   Gate(r.io_errors + r.errors + r.shed + r.deadline_exceeded + r.ok > 0 &&
            r.connect_failures == 0,

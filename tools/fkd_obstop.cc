@@ -2,9 +2,8 @@
 //
 // Tails the file written by obs::StatsExporter (FKD_STATS_INTERVAL_MS /
 // FKD_STATS_PATH), parses the newest "fkd_stats" line, and renders QPS,
-// windowed latency percentiles, cache hit ratio, queue depth and replica
-// quarantine — a `top` for the serving stack, no dependencies beyond the
-// feed file itself.
+// windowed latency percentiles, cache hit ratio and queue depth — a `top`
+// for the serving stack, no dependencies beyond the feed file itself.
 //
 //   fkd_obstop [--once] [--interval-ms N] [path]
 //
@@ -155,14 +154,6 @@ void RenderFrame(const std::string& path, const std::string& line) {
   std::printf("  %-12s depth=%-6.0f version=%-6.0f\n", "engine",
               ExtractNumber(gauges, "fkd.serve.queue_depth{}"),
               ExtractNumber(gauges, "fkd.serve.active_version{}"));
-  // The router's quarantine is the one replica health machine.
-  std::printf(
-      "  %-12s quarantined=%-4.0f quarantines=%-6.0f reinstated=%-6.0f "
-      "probes=%.0f\n",
-      "replicas", ExtractNumber(gauges, "fkd.serve.quarantined{}"),
-      ExtractNumber(ExtractObject(counters, "fkd.serve.quarantine{}"), "total"),
-      ExtractNumber(ExtractObject(counters, "fkd.serve.reinstate{}"), "total"),
-      ExtractNumber(ExtractObject(counters, "fkd.serve.probe{}"), "total"));
 
   // Network front end (present only when fkd_server is running).
   const std::string conns_object =

@@ -92,8 +92,7 @@ int main(int argc, char** argv) {
   flags.AddString("snapshot", "", "snapshot directory to serve");
   flags.AddBool("demo", false, "train a tiny synthetic model to serve");
   flags.AddInt("demo-articles", 120, "synthetic corpus size for --demo");
-  flags.AddInt("replicas", 2, "primary engine replicas");
-  flags.AddInt("workers", 2, "worker threads per engine");
+  flags.AddInt("workers", 2, "engine worker threads");
   flags.AddInt("loops", 2, "epoll event-loop threads");
   flags.AddInt("max-inflight", 256, "in-flight classify budget");
   flags.AddInt("max-connections", 1024, "concurrent connection cap");
@@ -129,8 +128,6 @@ int main(int argc, char** argv) {
   FKD_CHECK_OK(store.Publish(initial.value()->version));
 
   fkd::serve::RouterOptions router_options;
-  router_options.num_replicas =
-      static_cast<size_t>(flags.GetInt("replicas"));
   router_options.engine.num_workers =
       static_cast<size_t>(flags.GetInt("workers"));
   fkd::serve::Router router(router_options);

@@ -35,7 +35,7 @@ start_server() {
   local name="$1"
   shift
   "${SERVER_BIN}" --demo --demo-articles=80 --port=0 \
-    --port-file="${WORKDIR}/${name}.port" --loops=1 --replicas=1 --workers=1 \
+    --port-file="${WORKDIR}/${name}.port" --loops=1 --workers=1 \
     "$@" >"${WORKDIR}/${name}.log" 2>&1 &
   SERVER_PID=$!
 }

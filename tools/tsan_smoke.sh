@@ -19,11 +19,10 @@
 # Serve*/Router* include the callback suites (exactly-once on every
 # resolution path, re-entrant cache hits); NetClient*/NetChaos* add the
 # resilient client's I/O thread (submitters racing retries/timeouts)
-# and the fault-injected socket paths, and Quarantine* races the health
-# monitor's quarantine/reinstate transitions against live Submits. The
-# Quant*/Tier* suites cover the quantized codecs and the compressed cold
-# tier (including the 1-vs-4-thread determinism cases). Any data race
-# aborts the run with a non-zero exit code.
+# and the fault-injected socket paths. The Quant*/Tier* suites cover the
+# quantized codecs and the compressed cold tier (including the
+# 1-vs-4-thread determinism cases). Any data race aborts the run with a
+# non-zero exit code.
 #
 #   tools/tsan_smoke.sh [build-dir]   (default: build-tsan next to the repo root)
 
@@ -47,6 +46,6 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-  -R '^(Serve|Router|Store|Cache|ConsistentHash|Fault|Crash|ThreadPool|Compute|Histogram|FlightRecorder|StatsExporter|Net|LoadGen|Quarantine|Quant|Tier|RetryPolicy|Clock|RegistryTest\.Concurrent|VocabularyTest\.ConstLookups)'
+  -R '^(Serve|Router|Store|Cache|Hash|Fault|Crash|ThreadPool|Compute|Histogram|FlightRecorder|StatsExporter|Net|LoadGen|Quant|Tier|RetryPolicy|Clock|RegistryTest\.Concurrent|VocabularyTest\.ConstLookups)'
 
 echo "tsan smoke: OK"
